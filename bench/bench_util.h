@@ -10,10 +10,26 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/flags.h"
 #include "src/common/stats.h"
 #include "src/workload/experiment.h"
 
 namespace pdpa {
+
+// Flag contract of the BENCH_*.json tools, checked once every flag has been
+// read and before any work starts: an unknown flag or a malformed value is
+// a usage error (exit 2), not a silent run with defaults.
+inline bool FlagsValid(const FlagSet& flags) {
+  for (const std::string& unknown : flags.UnconsumedFlags()) {
+    std::fprintf(stderr, "unknown flag --%s (see --help)\n", unknown.c_str());
+    return false;
+  }
+  if (flags.had_parse_error()) {
+    std::fprintf(stderr, "malformed flag value (see --help)\n");
+    return false;
+  }
+  return true;
+}
 
 // Times `body` `repeat` times and returns the median (p50) wall seconds.
 // Single samples on 1-CPU CI runners are noise; BENCH_*.json files record

@@ -1,15 +1,17 @@
 // Simulator hot-path benchmark: quantifies the event-horizon tick elision
 // and guards its byte-identity contract.
 //
-// Part 1 (A/B): runs W1 @ load 1.0 under PDPA twice — --exact_ticks style
-// fine grid vs the elided default — captures the event log and time-series
-// from both, and byte-compares them. Records rm.ticks / sim.events_dispatched
-// for each mode and the tick elision factor. Exits non-zero if the elided
-// run's observable output diverges from the exact run.
+// Part 1 (A/B): runs W1 @ load 1.0 under PDPA twice — reference mode's
+// fine tick grid vs the elided default — captures the event log and
+// time-series from both, and byte-compares them. Records rm.ticks /
+// sim.events_dispatched for each mode and the tick elision factor. Exits
+// non-zero if the elided run's observable output diverges from the exact
+// run.
 //
 // Part 2 (throughput): the sweep_bench grid (w1,w2 x 0.6,1.0 x Equip,PDPA
-// x 8 seeds = 64 cells) run serially with elision off and on, reporting
-// cells/sec for both.
+// x 8 seeds = 64 cells) run serially in reference mode (fine ticks, every
+// cell cold: sweep_reference_*) and in the default mode (elided ticks,
+// forked cells: sweep_elided_*), reporting cells/sec for both.
 //
 // Part 3 (serialization): the same grid with full event + time-series
 // capture, run through the retained legacy serializers and the fast path
@@ -19,11 +21,13 @@
 //
 // Part 4 (shared-prefix fork, DESIGN.md §12): a prefix-dominated grid — a
 // job trace whose first arrival lands minutes into the run, swept across
-// the four space-sharing policies x --seeds — run with forking off (every
-// cell replays the pre-arrival region) and on (one prefix per group, forked
-// into each policy cell). Byte-compares every cell's event log and the
+// the four space-sharing policies x --seeds — run cold (one RunExperiment
+// per cell with elision on, so every cell replays the pre-arrival region)
+// and forked (one RunSweep: one prefix per group, forked into each policy
+// cell). Both arms elide ticks, so fork_speedup = cold wall / forked wall
+// measures forking alone. Byte-compares every cell's event log and the
 // sweep CSV; on divergence, writes a per-cell diff to --divergence_out and
-// exits non-zero. Reports fork_speedup = cold wall / forked wall.
+// exits non-zero.
 //
 // Wall times are medians over --repeat runs (p50 in the JSON).
 //
@@ -58,13 +62,13 @@ struct AbRun {
   double wall_s = 0.0;
 };
 
-AbRun RunAb(bool exact_ticks) {
+AbRun RunAb(bool reference) {
   ExperimentConfig config;
   config.workload = WorkloadId::kW1;
   config.load = 1.0;
   config.seed = 42;
   config.policy = PolicyKind::kPdpa;
-  config.rm.exact_ticks = exact_ticks;
+  config.rm.reference = reference;
 
   AbRun run;
   std::ostringstream events_stream;
@@ -94,15 +98,47 @@ AbRun RunAb(bool exact_ticks) {
   return run;
 }
 
+// Runs every cell of `grid` cold, one RunExperiment each, capturing its
+// event log the way RunSweep does.
+std::vector<SweepCellResult> RunCold(const SweepGrid& grid) {
+  std::vector<SweepCellResult> results;
+  for (const SweepCell& cell : ExpandGrid(grid)) {
+    SweepCellResult& r = results.emplace_back();
+    r.cell = cell;
+    std::ostringstream events_stream;
+    EventLog events(&events_stream);
+    Registry registry;
+    ExperimentConfig config = cell.config;
+    config.event_log = &events;
+    config.registry = &registry;
+    r.result = RunExperiment(config);
+    events.Flush();
+    r.events_jsonl = events_stream.str();
+  }
+  return results;
+}
+
+constexpr const char* kUsage =
+    "usage: hotpath_bench [--seeds N] [--repeat N] [--out BENCH_hotpath.json]\n"
+    "                     [--divergence_out fork_divergence.diff]\n";
+
 int Run(int argc, char** argv) {
   FlagSet flags = FlagSet::Parse(argc - 1, argv + 1);
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
   const int num_seeds = flags.GetInt("seeds", 8);
   const int repeat = flags.GetInt("repeat", 1);
   const std::string out_path = flags.GetString("out", "BENCH_hotpath.json");
+  const std::string divergence_path = flags.GetString("divergence_out", "fork_divergence.diff");
+  if (!FlagsValid(flags)) {
+    return 2;
+  }
 
-  // --- Part 1: exact vs elided A/B on one cell ---------------------------
-  const AbRun fine = RunAb(/*exact_ticks=*/true);
-  const AbRun coarse = RunAb(/*exact_ticks=*/false);
+  // --- Part 1: reference vs elided A/B on one cell -----------------------
+  const AbRun fine = RunAb(/*reference=*/true);
+  const AbRun coarse = RunAb(/*reference=*/false);
   const bool identical =
       fine.events == coarse.events && fine.timeseries == coarse.timeseries;
   const double elision_factor =
@@ -114,7 +150,7 @@ int Run(int argc, char** argv) {
                fine.ticks, coarse.ticks, elision_factor, fine.events_dispatched,
                coarse.events_dispatched, identical ? "identical" : "DIFFERS");
 
-  // --- Part 2: serial sweep throughput, elision off vs on ----------------
+  // --- Part 2: serial sweep throughput, reference vs default ------------
   SweepGrid grid;
   grid.workloads = {WorkloadId::kW1, WorkloadId::kW2};
   grid.loads = {0.6, 1.0};
@@ -127,15 +163,16 @@ int Run(int argc, char** argv) {
 
   SweepOptions serial;
   serial.jobs = 1;
-  grid.base.rm.exact_ticks = true;
-  const double exact_s = MedianWallSeconds(repeat, [&] { (void)RunSweep(grid, serial); });
-  grid.base.rm.exact_ticks = false;
+  grid.base.rm.reference = true;
+  const double reference_s = MedianWallSeconds(repeat, [&] { (void)RunSweep(grid, serial); });
+  grid.base.rm.reference = false;
   const double elided_s = MedianWallSeconds(repeat, [&] { (void)RunSweep(grid, serial); });
-  const double exact_cells_per_s = exact_s > 0 ? static_cast<double>(cells) / exact_s : 0;
+  const double reference_cells_per_s =
+      reference_s > 0 ? static_cast<double>(cells) / reference_s : 0;
   const double elided_cells_per_s = elided_s > 0 ? static_cast<double>(cells) / elided_s : 0;
-  std::fprintf(stderr, "sweep %zu cells serial: exact %.2fs (%.0f cells/s), elided %.2fs "
+  std::fprintf(stderr, "sweep %zu cells serial: reference %.2fs (%.0f cells/s), elided %.2fs "
                "(%.0f cells/s)\n",
-               cells, exact_s, exact_cells_per_s, elided_s, elided_cells_per_s);
+               cells, reference_s, reference_cells_per_s, elided_s, elided_cells_per_s);
 
   // --- Part 3: events-enabled sweep, legacy vs fast serialization --------
   SweepOptions capture = serial;
@@ -200,18 +237,15 @@ int Run(int argc, char** argv) {
   fork_grid.base.rm.quantum = 250 * kMillisecond;
   const std::size_t fork_cells = ExpandGrid(fork_grid).size();
 
-  SweepOptions fork_off;
-  fork_off.jobs = 1;
-  fork_off.capture_events = true;
-  fork_off.fork = false;
-  SweepOptions fork_on = fork_off;
-  fork_on.fork = true;
+  SweepOptions fork_on;
+  fork_on.jobs = 1;
+  fork_on.capture_events = true;
   ForkStats fork_stats;
   fork_on.fork_stats = &fork_stats;
 
   std::vector<SweepCellResult> cold_results;
   const double fork_cold_s =
-      MedianWallSeconds(repeat, [&] { cold_results = RunSweep(fork_grid, fork_off); });
+      MedianWallSeconds(repeat, [&] { cold_results = RunCold(fork_grid); });
   std::vector<SweepCellResult> forked_results;
   const double fork_on_s =
       MedianWallSeconds(repeat, [&] { forked_results = RunSweep(fork_grid, fork_on); });
@@ -237,7 +271,6 @@ int Run(int argc, char** argv) {
                << fork_csv_on.str();
   }
   if (!fork_identical) {
-    const std::string divergence_path = flags.GetString("divergence_out", "fork_divergence.diff");
     std::ofstream diff_out(divergence_path);
     diff_out << divergence.str();
     std::fprintf(stderr, "fork divergence details written to %s\n", divergence_path.c_str());
@@ -270,9 +303,9 @@ int Run(int argc, char** argv) {
       << "  \"events_dispatched_elided\": " << coarse.events_dispatched << ",\n"
       << "  \"output_identical\": " << (identical ? "true" : "false") << ",\n"
       << "  \"sweep_cells\": " << cells << ",\n"
-      << "  \"sweep_exact_wall_s\": " << exact_s << ",\n"
+      << "  \"sweep_reference_wall_s\": " << reference_s << ",\n"
       << "  \"sweep_elided_wall_s\": " << elided_s << ",\n"
-      << "  \"sweep_exact_cells_per_s\": " << exact_cells_per_s << ",\n"
+      << "  \"sweep_reference_cells_per_s\": " << reference_cells_per_s << ",\n"
       << "  \"sweep_elided_cells_per_s\": " << elided_cells_per_s << ",\n"
       << "  \"events_sweep_legacy_wall_s\": " << events_legacy_s << ",\n"
       << "  \"events_sweep_fast_wall_s\": " << events_fast_s << ",\n"

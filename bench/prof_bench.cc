@@ -33,11 +33,13 @@ namespace {
 
 // Reads serial_cells_per_s from a sweep_bench JSON report. The file is one
 // object pretty-printed across lines; flattening the newlines makes it a
-// flat JSON object ParseFlatJson accepts.
-double ReadSweepBaseline(const std::string& path) {
+// flat JSON object ParseFlatJson accepts. Names the file and returns false
+// when it is missing or holds no positive serial_cells_per_s.
+bool ReadSweepBaseline(const std::string& path, double* cells_per_s) {
   std::ifstream in(path);
   if (!in) {
-    return 0.0;
+    std::fprintf(stderr, "prof_bench: cannot open sweep baseline %s\n", path.c_str());
+    return false;
   }
   std::ostringstream buffer;
   buffer << in.rdbuf();
@@ -48,23 +50,33 @@ double ReadSweepBaseline(const std::string& path) {
     }
   }
   std::map<std::string, std::string> fields;
-  if (!ParseFlatJson(text, &fields)) {
-    return 0.0;
+  const auto it = ParseFlatJson(text, &fields) ? fields.find("serial_cells_per_s") : fields.end();
+  if (it == fields.end() || !ParseDouble(it->second, cells_per_s) || *cells_per_s <= 0) {
+    std::fprintf(stderr, "prof_bench: sweep baseline %s has no positive serial_cells_per_s\n",
+                 path.c_str());
+    return false;
   }
-  double cells_per_s = 0.0;
-  const auto it = fields.find("serial_cells_per_s");
-  if (it == fields.end() || !ParseDouble(it->second, &cells_per_s)) {
-    return 0.0;
-  }
-  return cells_per_s;
+  return true;
 }
+
+constexpr const char* kUsage =
+    "usage: prof_bench [--seeds N] [--repeat N] [--sweep_baseline BENCH_sweep.json]\n"
+    "                  [--out BENCH_prof.json]\n";
 
 int Run(int argc, char** argv) {
   FlagSet flags = FlagSet::Parse(argc - 1, argv + 1);
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
   const int num_seeds = flags.GetInt("seeds", 8);
   const int repeat = flags.GetInt("repeat", 1);
   const std::string baseline_path = flags.GetString("sweep_baseline", "BENCH_sweep.json");
   const std::string out_path = flags.GetString("out", "BENCH_prof.json");
+  double baseline_cells_per_s = 0.0;
+  if (!FlagsValid(flags) || !ReadSweepBaseline(baseline_path, &baseline_cells_per_s)) {
+    return 2;
+  }
 
   // The same grid as sweep_bench's serial leg, so cells/sec are comparable.
   SweepGrid grid;
@@ -76,7 +88,6 @@ int Run(int argc, char** argv) {
     grid.seeds.push_back(42 + static_cast<std::uint64_t>(i));
   }
   const std::size_t cells = ExpandGrid(grid).size();
-  const double baseline_cells_per_s = ReadSweepBaseline(baseline_path);
   std::fprintf(stderr, "prof_bench: %zu cells, sweep baseline %.1f cells/s (%s)\n", cells,
                baseline_cells_per_s, baseline_path.c_str());
 
@@ -121,10 +132,8 @@ int Run(int argc, char** argv) {
       << "  \"on_wall_s\": " << on_s << ",\n"
       << "  \"off_cells_per_s\": " << off_cells_per_s << ",\n"
       << "  \"on_cells_per_s\": " << on_cells_per_s << ",\n"
-      << "  \"prof_off_factor\": "
-      << (baseline_cells_per_s > 0 ? off_cells_per_s / baseline_cells_per_s : 0) << ",\n"
-      << "  \"prof_on_factor\": "
-      << (baseline_cells_per_s > 0 ? on_cells_per_s / baseline_cells_per_s : 0) << ",\n"
+      << "  \"prof_off_factor\": " << off_cells_per_s / baseline_cells_per_s << ",\n"
+      << "  \"prof_on_factor\": " << on_cells_per_s / baseline_cells_per_s << ",\n"
       << "  \"prof_spans_per_s\": "
       << (on_s > 0 ? static_cast<double>(hits) / on_s : 0) << ",\n"
       << "  \"prof_hits_total\": " << hits << ",\n"

@@ -128,11 +128,21 @@ void FillSampler(TimeSeriesSampler* sampler, int rows) {
   }
 }
 
+constexpr const char* kUsage =
+    "usage: serialization_bench [--events N] [--repeat N] [--out BENCH_serialization.json]\n";
+
 int Run(int argc, char** argv) {
   FlagSet flags = FlagSet::Parse(argc - 1, argv + 1);
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
   const long long events = flags.GetInt("events", 400000);
   const int repeat = flags.GetInt("repeat", 3);
   const std::string out_path = flags.GetString("out", "BENCH_serialization.json");
+  if (!FlagsValid(flags)) {
+    return 2;
+  }
 
   // Byte-identity tripwire on a small sample of both pipelines.
   std::ostringstream legacy_sample, fast_sample;

@@ -19,8 +19,15 @@
 namespace pdpa {
 namespace {
 
+constexpr const char* kUsage =
+    "usage: sweep_bench [--jobs N] [--seeds N] [--repeat N] [--out BENCH_sweep.json]\n";
+
 int Run(int argc, char** argv) {
   FlagSet flags = FlagSet::Parse(argc - 1, argv + 1);
+  if (flags.GetBool("help", false)) {
+    std::printf("%s", kUsage);
+    return 0;
+  }
   int jobs = flags.GetInt("jobs", 0);
   if (jobs <= 0) {
     jobs = static_cast<int>(std::thread::hardware_concurrency());
@@ -31,6 +38,9 @@ int Run(int argc, char** argv) {
   const int num_seeds = flags.GetInt("seeds", 8);
   const int repeat = flags.GetInt("repeat", 1);
   const std::string out_path = flags.GetString("out", "BENCH_sweep.json");
+  if (!FlagsValid(flags)) {
+    return 2;
+  }
 
   SweepGrid grid;
   grid.workloads = {WorkloadId::kW1, WorkloadId::kW2};

@@ -174,8 +174,8 @@ struct Shard {
 // byte-identity contract is stated against.
 class ClusterEngine {
  public:
-  ClusterEngine(const std::vector<JobSpec>& workload, const ClusterOptions& options)
-      : workload_(workload), options_(options) {
+  ClusterEngine(const std::vector<JobSpec>& workload, const ClusterOptions& options, bool batch)
+      : workload_(workload), options_(options), batch_(batch) {
     PDPA_CHECK_GE(options.num_nodes, 1);
     PDPA_CHECK_GE(options.cpus_per_node, 1);
     PDPA_CHECK(options.make_policy != nullptr) << "ClusterOptions::make_policy is required";
@@ -185,7 +185,6 @@ class ClusterEngine {
     }
     shard_count_ = std::min(std::max(options.shards, 1), options.num_nodes);
     threaded_ = shard_count_ > 1;
-    batch_ = options.arrival_batch;
     profiler_ = options.profiler;
     profile_source_ = options.profile_source
                           ? options.profile_source
@@ -930,9 +929,9 @@ class ClusterEngine {
   const ClusterOptions& options_;
   int shard_count_ = 1;
   bool threaded_ = false;
-  // Epoch batching enabled (ClusterOptions::arrival_batch). Off restores the
-  // historical one-arrival-per-barrier protocol bit for bit.
-  bool batch_ = true;
+  // Epoch batching enabled; off, one barrier per arrival, in reference
+  // mode (rm_params.reference) and under RunClusterPerArrival.
+  const bool batch_;
   // Controller-thread profiler; null when profiling is off.
   Profiler* profiler_ = nullptr;
   std::function<const AppProfile&(AppClass)> profile_source_;
@@ -985,7 +984,13 @@ class ClusterEngine {
 }  // namespace
 
 ClusterResult RunCluster(const std::vector<JobSpec>& workload, const ClusterOptions& options) {
-  ClusterEngine engine(workload, options);
+  ClusterEngine engine(workload, options, /*batch=*/!options.rm_params.reference);
+  return engine.Run();
+}
+
+ClusterResult RunClusterPerArrival(const std::vector<JobSpec>& workload,
+                                   const ClusterOptions& options) {
+  ClusterEngine engine(workload, options, /*batch=*/false);
   return engine.Run();
 }
 

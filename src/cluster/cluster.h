@@ -25,16 +25,16 @@
 // event logs, time-series CSVs and counters. tests/cluster_test.cc asserts
 // exactly that.
 //
-// Epoch batching (default on, `arrival_batch`): instead of re-barriering at
-// every single arrival, the controller batches arrivals inside provably
-// safe windows — while no node admits, arrivals are pure queue pushes and
-// the barrier jumps straight to the cutoff; while nodes admit, successive
-// arrival groups are placed in one quiesced cycle as long as each group
-// precedes the earliest possible node event. Placements are applied in the
-// same canonical (time, node-index) order either way, so batched runs are
-// byte-identical to the one-arrival-per-barrier protocol (`arrival_batch =
-// false`) except for the two batch-protocol counters
-// (cluster.arrival_batches, cluster.batched_arrivals).
+// Epoch batching: instead of re-barriering at every single arrival, the
+// controller batches arrivals inside provably safe windows — while no node
+// admits, arrivals are pure queue pushes and the barrier jumps straight to
+// the cutoff; while nodes admit, successive arrival groups are placed in
+// one quiesced cycle as long as each group precedes the earliest possible
+// node event. Placements are applied in the same canonical (time,
+// node-index) order either way, so batching changes only the two
+// batch-protocol counters. Reference mode (`rm_params.reference`) runs one
+// barrier per arrival and ticks every node on every grid point (for its one
+// known difference, see DESIGN.md §13).
 #ifndef SRC_CLUSTER_CLUSTER_H_
 #define SRC_CLUSTER_CLUSTER_H_
 
@@ -80,7 +80,8 @@ struct ClusterOptions {
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   // Fresh policy instance per node; required.
   std::function<std::unique_ptr<SchedulingPolicy>()> make_policy;
-  // Per-node RM parameters; num_cpus is overridden with cpus_per_node.
+  // Per-node RM parameters; num_cpus is overridden with cpus_per_node, and
+  // reference also turns epoch batching off.
   ResourceManager::Params rm_params;
   // Root seed; node k's RM gets the k-th fork, independent of sharding.
   std::uint64_t seed = 1;
@@ -89,11 +90,6 @@ struct ClusterOptions {
   int shards = 1;
   // Simulation-time cutoff; 0 means run until the workload drains.
   SimTime max_sim_time = 0;
-  // Epoch-batched arrival handling (see the header comment). The escape
-  // hatch (`--no_arrival_batch` in the CLIs) restores the historical
-  // one-arrival-per-barrier protocol; outputs differ only in the
-  // batch-protocol counters.
-  bool arrival_batch = true;
   // Borrowed host-time profiler for the controller thread (null disables).
   // Controller spans: cluster.barrier_wait, cluster.drain, cluster.place.
   // With shards == 1 the node-level sim/rm/obs spans are recorded too (the
@@ -142,6 +138,12 @@ struct ClusterResult {
 // is that every field of ClusterResult is a pure function of (workload,
 // options minus shards): the shard count only changes wall-clock time.
 ClusterResult RunCluster(const std::vector<JobSpec>& workload, const ClusterOptions& options);
+
+// RunCluster with epoch batching off (reference mode's one barrier per
+// arrival) but the nodes' tick schedule as `options` sets it: checks
+// batching apart from the tick gap of DESIGN.md §13, and goes with it.
+ClusterResult RunClusterPerArrival(const std::vector<JobSpec>& workload,
+                                   const ClusterOptions& options);
 
 }  // namespace pdpa
 

@@ -1,6 +1,7 @@
 #include "src/rm/resource_manager.h"
 
 #include <algorithm>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
@@ -52,7 +53,7 @@ void ResourceManager::Start() {
   PDPA_CHECK(!tick_active_);
   tick_origin_ = sim_->now();
   advanced_to_ = tick_origin_;
-  elide_ = !params_.exact_ticks && !policy_->is_time_sharing() && trace_ == nullptr;
+  elide_ = !params_.reference && !policy_->is_time_sharing() && trace_ == nullptr;
   quantum_passive_ = elide_ && policy_->quantum_passive();
   fast_path_ = params_.boundary_batch && quantum_passive_ && policy_->report_passive() &&
                events_ == nullptr && timeseries_ == nullptr;
@@ -84,18 +85,17 @@ void ResourceManager::StartResumed(const ResumeState& state) {
   PDPA_CHECK(order_.empty()) << "StartResumed on a non-quiescent resource manager";
   tick_origin_ = state.origin;
   advanced_to_ = state.advanced_to;
-  elide_ = !params_.exact_ticks && !policy_->is_time_sharing() && trace_ == nullptr;
+  elide_ = !params_.reference && !policy_->is_time_sharing() && trace_ == nullptr;
   quantum_passive_ = elide_ && policy_->quantum_passive();
   fast_path_ = params_.boundary_batch && quantum_passive_ && policy_->report_passive() &&
                events_ == nullptr && timeseries_ == nullptr;
   next_ts_sample_ = state.next_ts_sample;
   tick_active_ = true;
+  // ForkEligible configs are never reference, time-sharing or traced.
+  PDPA_CHECK(elide_) << "StartResumed on a non-eliding resource manager";
   // Recreate the cold run's pending tick. Tick before quantum, as in
   // Start(), so same-instant firings keep the tick-then-quantum order.
-  if (!elide_) {
-    // Fine grid: the cold run's last prefix tick fired at advanced_to.
-    ScheduleTickAt(advanced_to_ + params_.tick);
-  } else if (quantum_passive_) {
+  if (quantum_passive_) {
     // The sentinel prefix ran the exact elision schedule of a cold run of
     // this policy, so recomputing the horizon from the resume state
     // reproduces the cold run's pending tick — or leaves it parked.
@@ -803,6 +803,20 @@ void ResourceManager::OnQuantum(SimTime now) {
   CatchUp(now);
   ApplyPlan(plan, now, "quantum");
   ScheduleTickAt(advanced_to_ + params_.tick);
+}
+
+RegistrySnapshot WithoutReferenceVariants(RegistrySnapshot snapshot) {
+  const auto variant = [](const auto& instrument) {
+    const std::string& name = instrument.name;
+    return name == "rm.ticks" || name == "rm.ticks_elided" || name == "sim.events_dispatched" ||
+           name == "sim.periodic_fires" || name == "machine.free_cpus" ||
+           name == "pdpa.admit.denied" || name == "cluster.arrival_batches" ||
+           name == "cluster.batched_arrivals";
+  };
+  std::erase_if(snapshot.counters, variant);
+  std::erase_if(snapshot.gauges, variant);
+  std::erase_if(snapshot.histograms, variant);
+  return snapshot;
 }
 
 }  // namespace pdpa

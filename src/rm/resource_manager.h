@@ -24,9 +24,10 @@
 //     closed-form Advance. When nothing bounds the horizon (idle machine,
 //     passive policy, no sampling) the tick is parked unscheduled until a
 //     job start pulls it back. Coarsened runs are byte-identical to
-//     fine-tick runs (segment-anchored integration in Application);
-//     `Params::exact_ticks` is the escape hatch that forces a tick at every
-//     grid point.
+//     fine-tick runs (segment-anchored integration in Application).
+//   * `Params::reference` is the oracle mode every fast path is checked
+//     against: the RM fires the tick at every grid point, a sweep runs every
+//     cell cold, and the cluster controller barriers at every arrival.
 #ifndef SRC_RM_RESOURCE_MANAGER_H_
 #define SRC_RM_RESOURCE_MANAGER_H_
 
@@ -60,10 +61,11 @@ class ResourceManager {
     SimDuration quantum = 100 * kMillisecond;
     SelfAnalyzerParams analyzer;
     AppCosts app_costs;
-    // Escape hatch: fire the progress tick at every grid point even when
-    // event-horizon analysis would allow eliding (A/B validation; the
-    // golden-equivalence tests compare exact vs elided runs byte for byte).
-    bool exact_ticks = false;
+    // Reference (oracle) mode, see the header comment. Disables elision and
+    // so boundary batching too. Outputs match the default run except the
+    // instruments WithoutReferenceVariants drops (cluster caveat: DESIGN.md
+    // §13).
+    bool reference = false;
     // Boundary batching: under elision with a quantum- AND report-passive
     // policy and no event-log/time-series sinks, iteration boundaries carry
     // no scheduling consequence, so the tick can park past *many* boundaries
@@ -322,6 +324,13 @@ class ResourceManager {
   Gauge* free_cpus_gauge_;
   Histogram* report_efficiency_;
 };
+
+// `snapshot` without the instruments a default and a reference run may
+// disagree on: the tick schedule (ticks fired and elided, events and
+// periodic fires dispatched, the tick-sampled free-CPU gauge, PDPA's
+// per-tick admission denials) and the cluster's two arrival-batch counters.
+// Every fast-vs-reference comparison holds the rest byte-identical.
+RegistrySnapshot WithoutReferenceVariants(RegistrySnapshot snapshot);
 
 }  // namespace pdpa
 

@@ -94,8 +94,8 @@ class PrefixSentinelPolicy final : public SchedulingPolicy {
     return {};
   }
   AllocationPlan OnQuantum(const PolicyContext& ctx) override {
-    // Reached only under --exact_ticks (elision off disables passivity).
-    PDPA_CHECK(ctx.jobs.empty()) << "quantum with running jobs inside the shared prefix";
+    (void)ctx;
+    PDPA_CHECK(false) << "quantum callback inside the shared prefix";
     return {};
   }
   bool ShouldAdmit(const PolicyContext& ctx) const override {
@@ -234,7 +234,7 @@ ExperimentResult RunExperiment(const ExperimentConfig& config,
 }
 
 bool PrefixForkable(const ExperimentConfig& config, const std::vector<JobSpec>& jobs) {
-  if (config.record_trace || jobs.empty()) {
+  if (config.rm.reference || config.record_trace || jobs.empty()) {
     return false;
   }
   const SimTime first = FirstArrival(jobs);

@@ -166,7 +166,8 @@ struct PrefixSnapshot {
 // beyond the first scheduler quantum (so the cold run's pending tick and
 // quantum events were rescheduled after the arrivals were enqueued, which is
 // what makes same-instant event order reproducible) and before the cutoff;
-// CPU-ownership traces record the prefix and cannot fork.
+// CPU-ownership traces record the prefix and cannot fork, and reference
+// configs (ResourceManager::Params::reference) always run cold.
 bool PrefixForkable(const ExperimentConfig& config, const std::vector<JobSpec>& jobs);
 
 // Full per-cell eligibility: PrefixForkable plus a policy without its own

@@ -68,7 +68,6 @@ std::vector<SweepCell> ExpandGrid(const SweepGrid& grid) {
             cell.nodes = grid.nodes;
             cell.cpus_per_node = grid.cpus_per_node;
             cell.cluster_shards = grid.cluster_shards;
-            cell.arrival_batch = grid.arrival_batch;
             cell.placement = placement;
             if (cluster) {
               // Arrival rates must scale with the whole cluster's capacity.
@@ -116,6 +115,21 @@ struct CellScratch {
   TimeSeriesSampler timeseries;
 };
 
+// Builds `group` on its first cell (see ForkGroup). Cluster groups never
+// fork: every node owns a private pre-arrival timeline.
+void BuildGroup(const ExperimentConfig& config, bool cluster, ForkGroup* group) {
+  const MutexLock lock(&group->group_mutex);
+  if (group->built) {
+    return;
+  }
+  group->jobs = BuildJobs(config);
+  if (!cluster && PrefixForkable(config, *group->jobs)) {
+    group->snapshot = BuildPrefixSnapshot(config, group->jobs);
+    group->forkable = true;
+  }
+  group->built = true;
+}
+
 // Runs one cell with its private observability context. `forked` is the
 // cell's slot in the sweep-wide fork flags (distinct per cell, so writes
 // need no lock).
@@ -142,9 +156,7 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, For
   }
   if (cell.nodes > 1) {
     // Cluster cell: RunCluster owns its observability sinks, so the scratch
-    // wiring above is unused; recordings come back by value. The fork
-    // machinery never applies (no shared prefix across per-node timelines)
-    // but the group's immutable job trace is still shared.
+    // wiring above is unused; recordings come back by value.
     {
       ProfScope cell_scope(options.capture_prof ? &out->profile : nullptr, SpanId::kSweepCell);
       config.event_log = nullptr;
@@ -154,23 +166,11 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, For
       cluster.cpus_per_node = cell.cpus_per_node;
       cluster.placement = cell.placement;
       cluster.shards = cell.cluster_shards;
-      cluster.arrival_batch = cell.arrival_batch;
       cluster.capture_counters = options.capture_counters;
       cluster.capture_events = options.capture_events;
       cluster.capture_timeseries = options.capture_timeseries;
-      std::shared_ptr<const std::vector<JobSpec>> jobs;
-      if (options.fork) {
-        const MutexLock lock(&group->group_mutex);
-        if (!group->built) {
-          // Trace only; no prefix snapshot (group->forkable stays false).
-          group->jobs = BuildJobs(config);
-          group->built = true;
-        }
-        jobs = group->jobs;
-      } else {
-        jobs = BuildJobs(config);
-      }
-      ClusterCellOutput cluster_out = RunClusterCell(config, cluster, std::move(jobs));
+      BuildGroup(config, /*cluster=*/true, group);
+      ClusterCellOutput cluster_out = RunClusterCell(config, cluster, group->jobs);
       out->result = std::move(cluster_out.result);
       out->counters = std::move(cluster_out.counters);
       out->events_jsonl = std::move(cluster_out.events_jsonl);
@@ -183,28 +183,14 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, For
   }
   {
     ProfScope cell_scope(options.capture_prof ? &out->profile : nullptr, SpanId::kSweepCell);
-    bool fork_this_cell = false;
-    if (options.fork) {
-      const MutexLock lock(&group->group_mutex);
-      if (!group->built) {
-        group->jobs = BuildJobs(config);
-        if (PrefixForkable(config, *group->jobs)) {
-          group->snapshot = BuildPrefixSnapshot(config, group->jobs);
-          group->forkable = true;
-        }
-        group->built = true;
-      }
-      fork_this_cell = group->forkable && ForkEligible(config, *group->jobs);
-    }
-    if (fork_this_cell) {
+    BuildGroup(config, /*cluster=*/false, group);
+    if (group->forkable && ForkEligible(config, *group->jobs)) {
       out->result = RunExperimentFrom(config, group->snapshot);
       *forked = 1;
-    } else if (options.fork) {
-      // Cold cell of a fork-enabled sweep (ineligible policy or prefix):
-      // still reuse the group's immutable job trace instead of rebuilding.
-      out->result = RunExperiment(config, group->jobs);
     } else {
-      out->result = RunExperiment(config);
+      // Cold cell (reference config, ineligible policy or prefix): still
+      // reuse the group's immutable job trace instead of rebuilding it.
+      out->result = RunExperiment(config, group->jobs);
     }
   }
   if (options.capture_prof) {

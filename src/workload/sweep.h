@@ -15,6 +15,9 @@
 // policy) cell re-run under different arrival-trace seeds. SweepCsv emits
 // one row per (replica, class) plus per-class mean/p50/p95 aggregate rows
 // across the replicas whenever more than one seed is swept.
+//
+// Eligible cells fork from their group's shared-prefix snapshot (DESIGN.md
+// §12); reference mode (grid.base.rm.reference) runs every cell cold.
 #ifndef SRC_WORKLOAD_SWEEP_H_
 #define SRC_WORKLOAD_SWEEP_H_
 
@@ -55,9 +58,6 @@ struct SweepGrid {
   // Per-cell shard count for the cluster engine (wall-clock only; outputs
   // are shard-count-invariant).
   int cluster_shards = 1;
-  // Epoch-batched arrival handling in the cluster engine (cluster.h);
-  // false restores the one-arrival-per-barrier reference protocol.
-  bool arrival_batch = true;
 };
 
 // One fully resolved grid cell.
@@ -76,7 +76,6 @@ struct SweepCell {
   int nodes = 1;
   int cpus_per_node = 60;
   int cluster_shards = 1;
-  bool arrival_batch = true;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
 };
 
@@ -132,11 +131,6 @@ struct SweepOptions {
   // serialized and need no locking of their own — but must stay quick and
   // must not call back into RunSweep.
   std::function<void(const SweepProgress&)> on_progress;
-  // Shared-prefix forking (DESIGN.md §12): run each (workload, load, seed)
-  // group's policy-independent prefix once and fork the group's eligible
-  // cells from the snapshot. Outputs are byte-identical either way; off is
-  // the escape hatch (--no_fork) for bisecting and for exactness audits.
-  bool fork = true;
   // When set, receives what the fork machinery did (written after the sweep
   // completes, from the calling thread).
   ForkStats* fork_stats = nullptr;

@@ -1,13 +1,14 @@
 # ctest driver for tool CLI contracts. Invoked as
 #   cmake -DREPORT=<pdpa_report> -DPRV=<prv_stats> -DSIM=<pdpa_sim>
-#         -DBATCH=<pdpa_batch> -DLINT=<pdpa_lint> -DWORKDIR=<scratch>
-#         -P cli_cases.cmake
+#         -DBATCH=<pdpa_batch> -DLINT=<pdpa_lint> -DBENCH_DIR=<build/bench>
+#         -DWORKDIR=<scratch> -P cli_cases.cmake
 # Bad invocations must be usage errors (exit 2 with a pointed message), not
 # silently-wrong output; --help is exit 0.
 
-if(NOT REPORT OR NOT PRV OR NOT SIM OR NOT BATCH OR NOT LINT OR NOT WORKDIR)
+if(NOT REPORT OR NOT PRV OR NOT SIM OR NOT BATCH OR NOT LINT OR NOT BENCH_DIR OR NOT WORKDIR)
   message(FATAL_ERROR
-          "usage: cmake -DREPORT=... -DPRV=... -DSIM=... -DBATCH=... -DLINT=... -DWORKDIR=... -P cli_cases.cmake")
+          "usage: cmake -DREPORT=... -DPRV=... -DSIM=... -DBATCH=... -DLINT=... -DBENCH_DIR=... "
+          "-DWORKDIR=... -P cli_cases.cmake")
 endif()
 file(MAKE_DIRECTORY ${WORKDIR})
 
@@ -74,6 +75,13 @@ expect_cli(0 out "span hits written to" ${SIM} --workload w1 --load 0.6
 # rm.tick, not rm.quantum: the default policy (PDPA) is quantum-passive, so
 # a live profile has tick spans but no quantum spans.
 expect_cli(0 out "rm.tick" ${REPORT} ${WORKDIR}/sim_prof.jsonl)
+# Every output file is checked before anything is reported as written.
+expect_cli(2 err "cannot open /nonexistent/x.swf" ${SIM} --workload w1 --load 0.6
+           --swf-out /nonexistent/x.swf)
+expect_cli(2 err "cannot open /nonexistent/x.prv" ${SIM} --workload w1 --load 0.6
+           --prv-out /nonexistent/x.prv)
+expect_cli(2 err "cannot open /nonexistent/x.pcf" ${SIM} --workload w1 --load 0.6
+           --pcf-out /nonexistent/x.pcf)
 
 # pdpa_batch: same contract for the sweep driver.
 expect_cli(0 out "usage: pdpa_batch" ${BATCH} --help)
@@ -110,16 +118,16 @@ expect_cli(2 err "must be >= 1" ${BATCH} --cluster_shards 0)
 expect_cli(0 out "PDPA@ll" ${BATCH} --workloads w1 --loads 0.6 --policies pdpa
            --nodes 3 --cpus_per_node 20 --placement rr,ll --cluster_shards 2)
 
-# Epoch batching (DESIGN.md §13): the escape hatch is documented in both
-# tools, is cluster-only (usage error on a single-SMP run), and a cluster
-# run can be profiled — the controller-plane spans show up in the table.
-expect_cli(0 out "--no_arrival_batch" ${SIM} --help)
-expect_cli(0 out "--no_arrival_batch" ${BATCH} --help)
-expect_cli(2 err "cluster-only .requires --nodes > 1." ${SIM} --no_arrival_batch)
-expect_cli(2 err "cluster-only .requires --nodes > 1." ${BATCH} --no_arrival_batch
-           --workloads w1 --loads 0.6)
+# Reference mode (DESIGN.md §7): one --reference flag per tool, with or
+# without --nodes. A cluster run can be profiled: the controller-plane
+# spans show up in the table.
+expect_cli(0 out "--reference" ${SIM} --help)
+expect_cli(0 out "--reference" ${BATCH} --help)
+expect_cli(0 out "policy PDPA, .* peak ML" ${SIM} --workload w1 --load 0.6 --reference)
+expect_cli(0 out "workload,load,policy" ${BATCH} --workloads w1 --loads 0.6 --policies equip
+           --reference)
 expect_cli(0 out "policy PDPA@rr" ${SIM} --workload w1 --load 0.6
-           --nodes 3 --cpus_per_node 20 --no_arrival_batch)
+           --nodes 3 --cpus_per_node 20 --reference)
 expect_cli(0 out "cluster.place" ${SIM} --workload w1 --load 0.6
            --nodes 3 --cpus_per_node 20 --prof)
 expect_cli(0 out "cluster.barrier_wait" ${SIM} --workload w1 --load 0.6
@@ -135,21 +143,63 @@ expect_cli(0 out "ptr-taint-ok" ${LINT} --explain ptr-taint)
 expect_cli(0 out "PDPA_LOCK_RANK" ${LINT} --explain lock-order)
 expect_cli(2 err "unknown rule 'bogus' .see --list-rules." ${LINT} --explain bogus)
 
-# --no_fork is the shared-prefix escape hatch: both modes must exit 0 and
-# produce byte-identical CSV (the fork log line is info-level, on stderr).
-expect_cli(0 out "workload,load,policy" ${BATCH} --workloads w2 --loads 1.0
-           --policies equip,pdpa --seeds 2 --no_fork)
+# Reference mode must not change a byte: pdpa_batch --reference (every
+# cell cold, a tick at every grid point, one cluster barrier per arrival)
+# prints the same CSV as the default fast paths, on a single-SMP grid and
+# on a 3-node grid. The fork log line is info-level, on stderr.
 expect_cli(0 err "cells forked" ${BATCH} --workloads w2 --loads 1.0
            --policies equip,pdpa --seeds 2 --log_level info)
-execute_process(COMMAND ${BATCH} --workloads w2 --loads 1.0 --policies equip,pdpa --seeds 2
-                OUTPUT_VARIABLE forked_csv RESULT_VARIABLE forked_exit ERROR_QUIET)
-execute_process(COMMAND ${BATCH} --workloads w2 --loads 1.0 --policies equip,pdpa --seeds 2
-                --no_fork
-                OUTPUT_VARIABLE cold_csv RESULT_VARIABLE cold_exit ERROR_QUIET)
-if(NOT forked_exit EQUAL 0 OR NOT cold_exit EQUAL 0)
-  message(SEND_ERROR "pdpa_batch fork A/B exited ${forked_exit}/${cold_exit}")
-elseif(NOT forked_csv STREQUAL cold_csv)
-  message(SEND_ERROR "pdpa_batch --no_fork changed the sweep CSV bytes")
-endif()
+function(expect_same_csv what)
+  execute_process(COMMAND ${BATCH} ${ARGN}
+                  OUTPUT_VARIABLE fast_csv RESULT_VARIABLE fast_exit ERROR_QUIET)
+  execute_process(COMMAND ${BATCH} ${ARGN} --reference
+                  OUTPUT_VARIABLE reference_csv RESULT_VARIABLE reference_exit ERROR_QUIET)
+  if(NOT fast_exit EQUAL 0 OR NOT reference_exit EQUAL 0)
+    message(SEND_ERROR "pdpa_batch ${what} reference A/B exited ${fast_exit}/${reference_exit}")
+  elseif(NOT fast_csv MATCHES "workload,load,policy")
+    message(SEND_ERROR "pdpa_batch ${what} printed no sweep CSV")
+  elseif(NOT fast_csv STREQUAL reference_csv)
+    message(SEND_ERROR "pdpa_batch --reference changed the ${what} sweep CSV bytes")
+  endif()
+endfunction()
+expect_same_csv("single-node" --workloads w1,w2 --loads 0.6,1.0
+                --policies irix,equip,equal_eff,pdpa --seeds 2)
+expect_same_csv("3-node" --workloads w1 --loads 0.6,1.0 --policies equip,pdpa --seeds 2
+                --nodes 3 --cpus_per_node 20 --placement rr,mf,ll)
+
+# pdpa_sim --reference on a cluster writes the same event log and
+# time-series as the default run.
+foreach(mode fast reference)
+  set(extra "")
+  if(mode STREQUAL "reference")
+    set(extra --reference)
+  endif()
+  expect_cli(0 out "time-series: merged cluster CSV" ${SIM} --workload w1 --load 0.6
+             --nodes 3 --cpus_per_node 20 --placement mf ${extra}
+             --events_out ${WORKDIR}/cluster_${mode}.jsonl
+             --timeseries_out ${WORKDIR}/cluster_${mode}_ts.csv)
+endforeach()
+foreach(artifact .jsonl _ts.csv)
+  file(READ ${WORKDIR}/cluster_fast${artifact} fast_bytes)
+  file(READ ${WORKDIR}/cluster_reference${artifact} reference_bytes)
+  if(fast_bytes STREQUAL "" OR NOT fast_bytes STREQUAL reference_bytes)
+    message(SEND_ERROR "pdpa_sim --nodes 3 --reference changed cluster${artifact}")
+  endif()
+endforeach()
+
+# The BENCH_*.json tools: --help prints usage without running, and an
+# unknown flag or a malformed value is a usage error before any work.
+foreach(bench cluster_bench hotpath_bench serialization_bench sweep_bench prof_bench)
+  expect_cli(0 out "usage: ${bench}" ${BENCH_DIR}/${bench} --help)
+  expect_cli(2 err "unknown flag --bogus" ${BENCH_DIR}/${bench} --bogus)
+  expect_cli(2 err "malformed flag value" ${BENCH_DIR}/${bench} --repeat not-a-number)
+endforeach()
+# prof_bench's factors are relative to a sweep_bench baseline: a missing or
+# unparseable baseline is an error naming the file, never a factor of 0.
+expect_cli(2 err "cannot open sweep baseline .*does_not_exist.json" ${BENCH_DIR}/prof_bench
+           --sweep_baseline ${WORKDIR}/does_not_exist.json)
+file(WRITE ${WORKDIR}/bad_sweep.json "{\"cells\": 64}\n")
+expect_cli(2 err "bad_sweep.json has no positive serial_cells_per_s" ${BENCH_DIR}/prof_bench
+           --sweep_baseline ${WORKDIR}/bad_sweep.json)
 
 message(STATUS "cli contract checks done")

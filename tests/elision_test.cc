@@ -5,8 +5,9 @@
 //    the property that makes span-sized Advance calls safe to substitute
 //    for per-tick ones.
 //  * Golden equivalence: for every policy x workload pair, a run with
-//    elision enabled produces the same event log, time-series CSV, and
-//    metrics as a run with --exact_ticks.
+//    elision enabled produces the same event log, time-series CSV, metrics
+//    and counters (minus WithoutReferenceVariants) as a reference-mode run,
+//    which fires a tick at every grid point.
 //  * And the coarse run must actually fire fewer ticks, or the machinery
 //    is vacuous.
 #include <gtest/gtest.h>
@@ -123,16 +124,17 @@ struct CapturedRun {
   std::string events;
   std::string timeseries;
   long long ticks = 0;
+  RegistrySnapshot counters;
   ExperimentResult result;
 };
 
-CapturedRun RunCaptured(const GoldenCase& c, bool exact_ticks) {
+CapturedRun RunCaptured(const GoldenCase& c, bool reference) {
   ExperimentConfig config;
   config.workload = c.workload;
   config.load = 1.0;
   config.seed = 42;
   config.policy = c.policy;
-  config.rm.exact_ticks = exact_ticks;
+  config.rm.reference = reference;
 
   CapturedRun run;
   std::ostringstream events_stream;
@@ -148,7 +150,8 @@ CapturedRun RunCaptured(const GoldenCase& c, bool exact_ticks) {
   std::ostringstream ts_stream;
   timeseries.WriteCsv(ts_stream);
   run.timeseries = ts_stream.str();
-  for (const CounterSnapshot& counter : registry.Snapshot().counters) {
+  run.counters = registry.Snapshot();
+  for (const CounterSnapshot& counter : run.counters.counters) {
     if (counter.name == "rm.ticks") {
       run.ticks = counter.value;
     }
@@ -159,11 +162,13 @@ CapturedRun RunCaptured(const GoldenCase& c, bool exact_ticks) {
 class GoldenEquivalenceTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenEquivalenceTest, ElidedRunIsByteIdenticalToExactTicks) {
-  const CapturedRun fine = RunCaptured(GetParam(), /*exact_ticks=*/true);
-  const CapturedRun coarse = RunCaptured(GetParam(), /*exact_ticks=*/false);
+  const CapturedRun fine = RunCaptured(GetParam(), /*reference=*/true);
+  const CapturedRun coarse = RunCaptured(GetParam(), /*reference=*/false);
 
   EXPECT_EQ(fine.events, coarse.events);
   EXPECT_EQ(fine.timeseries, coarse.timeseries);
+  EXPECT_EQ(WithoutReferenceVariants(fine.counters).ToString(),
+            WithoutReferenceVariants(coarse.counters).ToString());
 
   EXPECT_EQ(fine.result.completed, coarse.result.completed);
   EXPECT_EQ(fine.result.sim_end_s, coarse.result.sim_end_s);

@@ -5,11 +5,12 @@
 //    as RunExperiment from t=0 — and, for quantum-passive policies, the
 //    same final counter/gauge/histogram snapshot, because the prefix
 //    registry is restored rather than recomputed.
-//  * Sweep integration: fork-on vs fork-off (and serial vs parallel with
-//    fork on) sweeps produce identical CSV and per-cell recordings, and the
+//  * Sweep integration: forked vs reference-mode (and serial vs parallel
+//    forked) sweeps produce identical CSV and per-cell recordings, and the
 //    machinery is non-vacuous (more forked cells than prefixes built).
-//  * Eligibility: traces, early arrivals, empty workloads and IRIX
-//    (policy-owned per-tick randomness) all decline to fork.
+//  * Eligibility: reference configs, traces, early arrivals, empty
+//    workloads and IRIX (policy-owned per-tick randomness) all decline to
+//    fork.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -33,22 +34,25 @@ struct GoldenCase {
   PolicyKind policy;
   WorkloadId workload;
   std::uint64_t seed;
-  bool exact_ticks;
+  double load;
 };
 
 std::string CaseName(const ::testing::TestParamInfo<GoldenCase>& info) {
-  return std::string(PolicyKindName(info.param.policy)) + "_" +
-         WorkloadShortName(info.param.workload) + "_s" + std::to_string(info.param.seed) +
-         (info.param.exact_ticks ? "_exact" : "");
+  std::string name = std::string(PolicyKindName(info.param.policy)) + "_" +
+                     WorkloadShortName(info.param.workload) + "_s" +
+                     std::to_string(info.param.seed);
+  if (info.param.load != 1.0) {
+    name += "_load" + std::to_string(static_cast<int>(info.param.load * 100));
+  }
+  return name;
 }
 
 ExperimentConfig BaseConfig(const GoldenCase& c) {
   ExperimentConfig config;
   config.workload = c.workload;
-  config.load = 1.0;
+  config.load = c.load;
   config.seed = c.seed;
   config.policy = c.policy;
-  config.rm.exact_ticks = c.exact_ticks;
   return config;
 }
 
@@ -145,35 +149,31 @@ TEST_P(GoldenForkTest, ForkedRunIsByteIdenticalToColdRun) {
     EXPECT_EQ(cold.result.outcomes[i].finish, forked.result.outcomes[i].finish);
   }
 
-  // Under exact ticks the prefix fires the identical tick/quantum cadence
-  // for every policy; with elision, passive policies park identically. In
-  // both cases the restored prefix registry makes the *entire* final
-  // instrument state match a cold run bit for bit. Non-passive policies
-  // under elision legitimately differ (their cold prefix evaluates empty
-  // quanta the passive sentinel elides), so only these cases compare.
-  const bool counters_exact =
-      GetParam().exact_ticks || GetParam().policy == PolicyKind::kEquipartition ||
-      GetParam().policy == PolicyKind::kPdpa;
-  if (counters_exact) {
+  // Passive policies park exactly like the sentinel prefix, so the restored
+  // prefix registry makes the *entire* final instrument state match a cold
+  // run bit for bit. A non-passive policy's cold prefix evaluates empty
+  // quanta the passive sentinel elides, so its tick-schedule instruments
+  // legitimately differ; everything else matches.
+  if (GetParam().policy == PolicyKind::kEquipartition || GetParam().policy == PolicyKind::kPdpa) {
     ExpectSameSnapshot(cold.counters, forked.counters);
   }
+  EXPECT_EQ(WithoutReferenceVariants(cold.counters).ToString(),
+            WithoutReferenceVariants(forked.counters).ToString());
 }
 
 INSTANTIATE_TEST_SUITE_P(
     PoliciesWorkloadsSeeds, GoldenForkTest,
-    ::testing::Values(GoldenCase{PolicyKind::kEquipartition, WorkloadId::kW1, 42, false},
-                      GoldenCase{PolicyKind::kEquipartition, WorkloadId::kW2, 43, false},
-                      GoldenCase{PolicyKind::kEqualEfficiency, WorkloadId::kW1, 43, false},
-                      GoldenCase{PolicyKind::kEqualEfficiency, WorkloadId::kW2, 42, false},
-                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW1, 42, false},
-                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW1, 43, false},
-                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW2, 42, false},
-                      GoldenCase{PolicyKind::kMcCannDynamic, WorkloadId::kW1, 42, false},
-                      GoldenCase{PolicyKind::kMcCannDynamic, WorkloadId::kW2, 43, false},
-                      GoldenCase{PolicyKind::kEquipartition, WorkloadId::kW1, 42, true},
-                      GoldenCase{PolicyKind::kEqualEfficiency, WorkloadId::kW1, 42, true},
-                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW2, 43, true},
-                      GoldenCase{PolicyKind::kMcCannDynamic, WorkloadId::kW1, 42, true}),
+    ::testing::Values(GoldenCase{PolicyKind::kEquipartition, WorkloadId::kW1, 42, 1.0},
+                      GoldenCase{PolicyKind::kEquipartition, WorkloadId::kW2, 43, 1.0},
+                      GoldenCase{PolicyKind::kEqualEfficiency, WorkloadId::kW1, 43, 1.0},
+                      GoldenCase{PolicyKind::kEqualEfficiency, WorkloadId::kW2, 42, 1.0},
+                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW1, 42, 1.0},
+                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW1, 43, 1.0},
+                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW2, 42, 1.0},
+                      GoldenCase{PolicyKind::kMcCannDynamic, WorkloadId::kW1, 42, 1.0},
+                      GoldenCase{PolicyKind::kMcCannDynamic, WorkloadId::kW2, 43, 1.0},
+                      GoldenCase{PolicyKind::kEquipartition, WorkloadId::kW1, 42, 0.6},
+                      GoldenCase{PolicyKind::kPdpa, WorkloadId::kW2, 43, 0.6}),
     CaseName);
 
 // ---------------------------------------------------------------------------
@@ -236,6 +236,15 @@ TEST(ForkEligibilityTest, TraceRecordingDeclinesToFork) {
   EXPECT_FALSE(PrefixForkable(config, *jobs));
 }
 
+TEST(ForkEligibilityTest, ReferenceConfigDeclinesToFork) {
+  ExperimentConfig config;
+  config.rm.reference = true;
+  const std::shared_ptr<const std::vector<JobSpec>> jobs = BuildJobs(config);
+  EXPECT_FALSE(PrefixForkable(config, *jobs));
+  config.rm.reference = false;
+  EXPECT_TRUE(PrefixForkable(config, *jobs));
+}
+
 TEST(ForkEligibilityTest, EmptyWorkloadDeclinesToFork) {
   const ExperimentConfig config;
   const std::vector<JobSpec> no_jobs;
@@ -288,13 +297,17 @@ SweepGrid ForkGrid() {
   return grid;
 }
 
-SweepOptions CaptureAll(int jobs, bool fork, ForkStats* stats) {
+SweepGrid ReferenceGrid(SweepGrid grid) {
+  grid.base.rm.reference = true;
+  return grid;
+}
+
+SweepOptions CaptureAll(int jobs, ForkStats* stats) {
   SweepOptions options;
   options.jobs = jobs;
   options.capture_counters = true;
   options.capture_events = true;
   options.capture_timeseries = true;
-  options.fork = fork;
   options.fork_stats = stats;
   return options;
 }
@@ -318,14 +331,18 @@ void ExpectSameCells(const std::vector<SweepCellResult>& a,
 
 TEST(SweepForkTest, ForkedSweepMatchesColdSweepByteForByte) {
   ForkStats fork_stats;
-  const std::vector<SweepCellResult> forked =
-      RunSweep(ForkGrid(), CaptureAll(1, /*fork=*/true, &fork_stats));
+  const std::vector<SweepCellResult> forked = RunSweep(ForkGrid(), CaptureAll(1, &fork_stats));
   ForkStats cold_stats;
   const std::vector<SweepCellResult> cold =
-      RunSweep(ForkGrid(), CaptureAll(1, /*fork=*/false, &cold_stats));
+      RunSweep(ReferenceGrid(ForkGrid()), CaptureAll(1, &cold_stats));
 
   ExpectSameCells(cold, forked);
   EXPECT_EQ(Csv(cold, 2), Csv(forked, 2));
+  for (std::size_t i = 0; i < cold.size(); ++i) {
+    EXPECT_EQ(WithoutReferenceVariants(cold[i].counters).ToString(),
+              WithoutReferenceVariants(forked[i].counters).ToString())
+        << cold[i].cell.name;
+  }
 
   // Non-vacuity: one prefix per (workload, load, seed) group, forked into
   // all four policies' cells — strictly more forks than prefix runs.
@@ -335,7 +352,7 @@ TEST(SweepForkTest, ForkedSweepMatchesColdSweepByteForByte) {
   EXPECT_EQ(fork_stats.cold_cells, 0u);
   EXPECT_GT(fork_stats.forked_cells, fork_stats.prefixes_built);
 
-  // The escape hatch really ran cold.
+  // Reference mode really ran cold.
   EXPECT_EQ(cold_stats.forked_cells, 0u);
   EXPECT_EQ(cold_stats.cold_cells, cold.size());
   EXPECT_EQ(cold_stats.prefixes_built, 0u);
@@ -343,11 +360,10 @@ TEST(SweepForkTest, ForkedSweepMatchesColdSweepByteForByte) {
 
 TEST(SweepForkTest, ParallelForkedSweepMatchesSerial) {
   ForkStats serial_stats;
-  const std::vector<SweepCellResult> serial =
-      RunSweep(ForkGrid(), CaptureAll(1, /*fork=*/true, &serial_stats));
+  const std::vector<SweepCellResult> serial = RunSweep(ForkGrid(), CaptureAll(1, &serial_stats));
   ForkStats parallel_stats;
   const std::vector<SweepCellResult> parallel =
-      RunSweep(ForkGrid(), CaptureAll(4, /*fork=*/true, &parallel_stats));
+      RunSweep(ForkGrid(), CaptureAll(4, &parallel_stats));
 
   ExpectSameCells(serial, parallel);
   EXPECT_EQ(Csv(serial, 2), Csv(parallel, 2));
@@ -366,10 +382,10 @@ TEST(SweepForkTest, IrixCellsRunColdInsideAForkedSweep) {
   SweepGrid grid = ForkGrid();
   grid.policies = {PolicyKind::kIrix, PolicyKind::kPdpa};
   ForkStats stats;
-  const std::vector<SweepCellResult> results = RunSweep(grid, CaptureAll(1, true, &stats));
+  const std::vector<SweepCellResult> results = RunSweep(grid, CaptureAll(1, &stats));
   ForkStats cold_stats;
-  SweepOptions cold_options = CaptureAll(1, false, &cold_stats);
-  const std::vector<SweepCellResult> cold = RunSweep(grid, cold_options);
+  const std::vector<SweepCellResult> cold =
+      RunSweep(ReferenceGrid(grid), CaptureAll(1, &cold_stats));
 
   ExpectSameCells(cold, results);
   // 4 groups x 2 policies: the PDPA half forks, the IRIX half replays cold.

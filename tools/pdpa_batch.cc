@@ -41,7 +41,6 @@ grid axes:
   --seeds N                replicas per cell under consecutive seeds
                            (default 1); adds per-class mean/p50/p95 rows
   --untuned                override every request to 30 CPUs
-  --exact_ticks            fire the progress tick at every grid point
 
 cluster (nodes > 1 runs every cell on a cluster of SMPs):
   --nodes N                cluster nodes (default 1 = single 60-CPU SMP)
@@ -52,16 +51,14 @@ cluster (nodes > 1 runs every cell on a cluster of SMPs):
                            policy column reads "<policy>@<placement>"
   --cluster_shards N       worker event loops per cluster cell (default 1;
                            outputs are shard-count invariant)
-  --no_arrival_batch       disable the cluster engine's epoch-batched
-                           arrival handling (one barrier per arrival, the
-                           reference protocol; outputs differ only in the
-                           cluster.*_batch* counters). Requires --nodes > 1
 
 execution:
   --jobs N                 worker threads (default: hardware concurrency)
-  --no_fork                run every cell cold from t=0 instead of forking
-                           eligible cells from their group's shared-prefix
-                           snapshot (output is byte-identical either way)
+  --reference              reference (oracle) mode: a tick at every grid
+                           point, every cell run cold from t=0, and one
+                           cluster barrier per arrival; the CSV matches
+                           the default fast paths byte for byte (cluster
+                           caveat: DESIGN.md section 13)
   --progress               completion ticker on stderr
 
 output (CSV on stdout):
@@ -168,17 +165,12 @@ int Run(int argc, char** argv) {
     grid.seeds.push_back(seed + static_cast<std::uint64_t>(i));
   }
   grid.base.untuned = flags.GetBool("untuned", false);
-  grid.base.rm.exact_ticks = flags.GetBool("exact_ticks", false);
+  grid.base.rm.reference = flags.GetBool("reference", false);
   grid.nodes = flags.GetInt("nodes", 1);
   grid.cpus_per_node = flags.GetInt("cpus_per_node", 60);
   grid.cluster_shards = flags.GetInt("cluster_shards", 1);
   if (grid.nodes < 1 || grid.cpus_per_node < 1 || grid.cluster_shards < 1) {
     std::fprintf(stderr, "--nodes, --cpus_per_node and --cluster_shards must be >= 1\n");
-    return 2;
-  }
-  grid.arrival_batch = !flags.GetBool("no_arrival_batch", false);
-  if (!grid.arrival_batch && grid.nodes <= 1) {
-    std::fprintf(stderr, "--no_arrival_batch is cluster-only (requires --nodes > 1)\n");
     return 2;
   }
   grid.placements.clear();
@@ -194,8 +186,6 @@ int Run(int argc, char** argv) {
   SweepOptions options;
   // Worker threads; 0 (the default) auto-detects hardware concurrency.
   options.jobs = flags.GetInt("jobs", 0);
-  // Escape hatch for the shared-prefix fork (DESIGN.md §12).
-  options.fork = !flags.GetBool("no_fork", false);
   ForkStats fork_stats;
   options.fork_stats = &fork_stats;
 

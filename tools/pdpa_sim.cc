@@ -56,18 +56,17 @@ scheduler flags:
                            least-loaded (default rr)
   --shards N               worker event loops for the cluster engine
                            (default 1; outputs are shard-count invariant)
-  --no_arrival_batch       disable the cluster engine's epoch-batched
-                           arrival handling (one barrier per arrival, the
-                           reference protocol; outputs differ only in the
-                           cluster.*_batch* counters). Requires --nodes > 1
   --target-eff F           PDPA target efficiency (default 0.7)
   --high-eff F             PDPA high efficiency (default 0.9)
   --step N                 PDPA allocation step (default 4)
   --no-relative-speedup    disable PDPA's RelativeSpeedup test (ablation)
   --no-coordination        disable PDPA's coordinated ML rule (ablation)
   --dynamic-target         load-adaptive target efficiency
-  --exact_ticks            fire the progress tick at every grid point
-                           (disables event-horizon tick elision; A/B check)
+  --reference              reference (oracle) mode: a tick at every grid
+                           point and, with --nodes, one cluster barrier per
+                           arrival; outputs match the default fast paths
+                           byte for byte except tick-schedule counters
+                           (cluster caveat: DESIGN.md section 13)
 
 output flags:
   --view                   print the ASCII execution view (Fig. 5 style)
@@ -91,6 +90,16 @@ flight recorder (observability):
   --log_level LEVEL        debug|info|warning|error|none (default warning);
                            log lines are stamped with simulation time
 )";
+
+// Opens `path` for writing; names it on stderr when that fails.
+bool OpenOut(const std::string& path, std::ofstream* out) {
+  out->open(path);
+  if (!*out) {
+    std::fprintf(stderr, "cannot open %s\n", path.c_str());
+    return false;
+  }
+  return true;
+}
 
 int Run(int argc, char** argv) {
   FlagSet flags = FlagSet::Parse(argc - 1, argv + 1);
@@ -124,7 +133,7 @@ int Run(int argc, char** argv) {
   config.load = flags.GetDouble("load", 1.0);
   config.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   config.untuned = flags.GetBool("untuned", false);
-  config.rm.exact_ticks = flags.GetBool("exact_ticks", false);
+  config.rm.reference = flags.GetBool("reference", false);
 
   const std::string policy = flags.GetString("policy", "pdpa");
   if (policy == "irix") {
@@ -161,11 +170,6 @@ int Run(int argc, char** argv) {
   }
   if (nodes < 1 || cpus_per_node < 1 || shards < 1) {
     std::fprintf(stderr, "--nodes, --cpus_per_node and --shards must be >= 1\n");
-    return 2;
-  }
-  const bool no_arrival_batch = flags.GetBool("no_arrival_batch", false);
-  if (no_arrival_batch && nodes <= 1) {
-    std::fprintf(stderr, "--no_arrival_batch is cluster-only (requires --nodes > 1)\n");
     return 2;
   }
   if (nodes > 1) {
@@ -226,7 +230,10 @@ int Run(int argc, char** argv) {
                            config.num_cpus);
     }
     if (!swf_out.empty()) {
-      std::ofstream out(swf_out);
+      std::ofstream out;
+      if (!OpenOut(swf_out, &out)) {
+        return 2;
+      }
       WriteSwf(jobs, out, WorkloadName(config.workload));
       std::printf("wrote %zu jobs to %s\n", jobs.size(), swf_out.c_str());
     }
@@ -257,7 +264,6 @@ int Run(int argc, char** argv) {
     cluster.cpus_per_node = cpus_per_node;
     cluster.placement = placement;
     cluster.shards = shards;
-    cluster.arrival_batch = !no_arrival_batch;
     cluster.capture_counters = want_counters;
     cluster.capture_events = !events_out.empty();
     cluster.capture_timeseries = !timeseries_out.empty();
@@ -275,9 +281,8 @@ int Run(int argc, char** argv) {
                   metrics.avg_wait_s, metrics.avg_alloc);
     }
     if (!events_out.empty()) {
-      std::ofstream out_stream(events_out);
-      if (!out_stream) {
-        std::fprintf(stderr, "cannot open %s\n", events_out.c_str());
+      std::ofstream out_stream;
+      if (!OpenOut(events_out, &out_stream)) {
         return 2;
       }
       out_stream << out.events_jsonl;
@@ -286,9 +291,8 @@ int Run(int argc, char** argv) {
       std::printf("event log: %lld events written to %s\n", lines, events_out.c_str());
     }
     if (!timeseries_out.empty()) {
-      std::ofstream out_stream(timeseries_out);
-      if (!out_stream) {
-        std::fprintf(stderr, "cannot open %s\n", timeseries_out.c_str());
+      std::ofstream out_stream;
+      if (!OpenOut(timeseries_out, &out_stream)) {
         return 2;
       }
       out_stream << out.timeseries_csv;
@@ -301,9 +305,8 @@ int Run(int argc, char** argv) {
                   table.c_str());
     }
     if (!prof_out.empty()) {
-      std::ofstream prof_stream(prof_out);
-      if (!prof_stream) {
-        std::fprintf(stderr, "cannot open %s\n", prof_out.c_str());
+      std::ofstream prof_stream;
+      if (!OpenOut(prof_out, &prof_stream)) {
         return 2;
       }
       std::string jsonl;
@@ -319,20 +322,20 @@ int Run(int argc, char** argv) {
   }
 
   std::ofstream events_stream;
-  if (!events_out.empty()) {
-    events_stream.open(events_out);
-    if (!events_stream) {
-      std::fprintf(stderr, "cannot open %s\n", events_out.c_str());
-      return 2;
-    }
+  if (!events_out.empty() && !OpenOut(events_out, &events_stream)) {
+    return 2;
   }
   std::ofstream trace_stream;
-  if (!trace_out.empty()) {
-    trace_stream.open(trace_out);
-    if (!trace_stream) {
-      std::fprintf(stderr, "cannot open %s\n", trace_out.c_str());
-      return 2;
-    }
+  if (!trace_out.empty() && !OpenOut(trace_out, &trace_stream)) {
+    return 2;
+  }
+  std::ofstream prv_stream;
+  if (!prv_out.empty() && !OpenOut(prv_out, &prv_stream)) {
+    return 2;
+  }
+  std::ofstream pcf_stream;
+  if (!pcf_out.empty() && !OpenOut(pcf_out, &pcf_stream)) {
+    return 2;
   }
   // The trace exporter replays the event log, so --trace_out captures the
   // records in memory; --events_out then writes that same byte stream (the
@@ -387,13 +390,11 @@ int Run(int argc, char** argv) {
     }
   }
   if (!prv_out.empty()) {
-    std::ofstream out(prv_out);
-    out << result.paraver_trace;
+    prv_stream << result.paraver_trace;
     std::printf("\nParaver trace written to %s\n", prv_out.c_str());
   }
   if (!pcf_out.empty()) {
-    std::ofstream out(pcf_out);
-    WriteParaverConfig(result.metrics.jobs, out);
+    WriteParaverConfig(result.metrics.jobs, pcf_stream);
     std::printf("Paraver config written to %s\n", pcf_out.c_str());
   }
   if (events.enabled()) {
@@ -420,9 +421,8 @@ int Run(int argc, char** argv) {
     }
   }
   if (!timeseries_out.empty()) {
-    std::ofstream out(timeseries_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", timeseries_out.c_str());
+    std::ofstream out;
+    if (!OpenOut(timeseries_out, &out)) {
       return 2;
     }
     timeseries.WriteCsv(out);
@@ -436,9 +436,8 @@ int Run(int argc, char** argv) {
                 table.c_str());
   }
   if (!prof_out.empty()) {
-    std::ofstream out(prof_out);
-    if (!out) {
-      std::fprintf(stderr, "cannot open %s\n", prof_out.c_str());
+    std::ofstream out;
+    if (!OpenOut(prof_out, &out)) {
       return 2;
     }
     std::string jsonl;
