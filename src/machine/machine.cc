@@ -6,26 +6,10 @@
 
 namespace pdpa {
 
-Machine::Machine(int usable_cpus) : num_cpus_(usable_cpus) {
+Machine::Machine(int usable_cpus) : num_cpus_(usable_cpus), free_cpus_(usable_cpus) {
   PDPA_CHECK_GT(usable_cpus, 0);
   PDPA_CHECK_LE(usable_cpus, kMaxCpus);
   owner_.assign(static_cast<std::size_t>(usable_cpus), kIdleJob);
-}
-
-int Machine::FreeCpus() const {
-  int free = 0;
-  for (JobId owner : owner_) {
-    if (owner == kIdleJob) {
-      ++free;
-    }
-  }
-  return free;
-}
-
-JobId Machine::OwnerOf(int cpu) const {
-  PDPA_CHECK_GE(cpu, 0);
-  PDPA_CHECK_LT(cpu, num_cpus_);
-  return owner_[static_cast<std::size_t>(cpu)];
 }
 
 CpuSet Machine::CpusOf(JobId job) const {
@@ -86,6 +70,7 @@ std::vector<CpuHandoff> Machine::ApplyAllocation(const std::map<JobId, int>& tar
     for (int cpu = num_cpus_ - 1; cpu >= 0 && excess > 0; --cpu) {
       if (owner_[static_cast<std::size_t>(cpu)] == job) {
         owner_[static_cast<std::size_t>(cpu)] = kIdleJob;
+        ++free_cpus_;
         handoffs.push_back(CpuHandoff{cpu, job, kIdleJob});
         --excess;
       }
@@ -118,6 +103,7 @@ std::vector<CpuHandoff> Machine::ApplyAllocation(const std::map<JobId, int>& tar
           handoffs.push_back(CpuHandoff{cpu, kIdleJob, job});
         }
         owner_[static_cast<std::size_t>(cpu)] = job;
+        --free_cpus_;
         ++have;
       }
     }
@@ -161,6 +147,7 @@ std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId,
     for (int cpu = num_cpus_ - 1; cpu >= 0 && excess > 0; --cpu) {
       if (owner_[static_cast<std::size_t>(cpu)] == job) {
         owner_[static_cast<std::size_t>(cpu)] = kIdleJob;
+        ++free_cpus_;
         handoffs.push_back(CpuHandoff{cpu, job, kIdleJob});
         --excess;
       }
@@ -186,6 +173,7 @@ std::vector<CpuHandoff> Machine::ApplyPartial(const std::vector<std::pair<JobId,
           handoffs.push_back(CpuHandoff{cpu, kIdleJob, job});
         }
         owner_[static_cast<std::size_t>(cpu)] = job;
+        --free_cpus_;
         ++have;
       }
     }
@@ -199,16 +187,11 @@ std::vector<CpuHandoff> Machine::ReleaseJob(JobId job) {
   for (int cpu = 0; cpu < num_cpus_; ++cpu) {
     if (owner_[static_cast<std::size_t>(cpu)] == job) {
       owner_[static_cast<std::size_t>(cpu)] = kIdleJob;
+      ++free_cpus_;
       handoffs.push_back(CpuHandoff{cpu, job, kIdleJob});
     }
   }
   return handoffs;
-}
-
-void Machine::SetOwner(int cpu, JobId job) {
-  PDPA_CHECK_GE(cpu, 0);
-  PDPA_CHECK_LT(cpu, num_cpus_);
-  owner_[static_cast<std::size_t>(cpu)] = job;
 }
 
 }  // namespace pdpa

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "src/common/ids.h"
+#include "src/common/logging.h"
 #include "src/machine/cpuset.h"
 
 namespace pdpa {
@@ -31,9 +32,14 @@ class Machine {
   explicit Machine(int usable_cpus);
 
   int num_cpus() const { return num_cpus_; }
-  int FreeCpus() const;
+  // Idle CPUs, kept as a running count by every ownership change.
+  int FreeCpus() const { return free_cpus_; }
 
-  JobId OwnerOf(int cpu) const;
+  JobId OwnerOf(int cpu) const {
+    PDPA_CHECK_GE(cpu, 0);
+    PDPA_CHECK_LT(cpu, num_cpus_);
+    return owner_[static_cast<std::size_t>(cpu)];
+  }
   CpuSet CpusOf(JobId job) const;
   int CountOf(JobId job) const;
 
@@ -61,10 +67,17 @@ class Machine {
 
   // Direct single-CPU assignment, used by the time-sharing (IRIX) model that
   // bypasses space-sharing partitions.
-  void SetOwner(int cpu, JobId job);
+  void SetOwner(int cpu, JobId job) {
+    PDPA_CHECK_GE(cpu, 0);
+    PDPA_CHECK_LT(cpu, num_cpus_);
+    JobId& owner = owner_[static_cast<std::size_t>(cpu)];
+    free_cpus_ += (owner == kIdleJob ? -1 : 0) + (job == kIdleJob ? 1 : 0);
+    owner = job;
+  }
 
  private:
   int num_cpus_;
+  int free_cpus_;
   std::vector<JobId> owner_;  // indexed by cpu
 };
 

@@ -22,11 +22,13 @@ void EqualEfficiency::BindInstruments(Registry& registry) {
 
 AllocationPlan EqualEfficiency::OnJobStart(const PolicyContext& ctx, JobId job) {
   models_[job] = JobModel{};
+  memo_jobs_.clear();
   return Reallocate(ctx);
 }
 
 AllocationPlan EqualEfficiency::OnJobFinish(const PolicyContext& ctx, JobId job) {
   models_.erase(job);
+  memo_jobs_.clear();
   return Reallocate(ctx);
 }
 
@@ -36,6 +38,7 @@ AllocationPlan EqualEfficiency::OnReport(const PolicyContext& ctx, const PerfRep
   if (static_cast<int>(model.samples.size()) > params_.history) {
     model.samples.erase(model.samples.begin());
   }
+  memo_jobs_.clear();
   // Reallocating on every report is what makes Equal_efficiency "too
   // sensitive to small changes in the efficiency measurements" (Sec. 5.1).
   return Reallocate(ctx);
@@ -51,11 +54,15 @@ double EqualEfficiency::ExtrapolatedSpeedup(JobId job, double p) const {
   if (p <= 0.0) {
     return 0.0;
   }
+  return FitOf(job).SpeedupAt(p);
+}
+
+EqualEfficiency::Fit EqualEfficiency::FitOf(JobId job) const {
   const auto it = models_.find(job);
   if (it == models_.end() || it->second.samples.empty()) {
     // No knowledge: optimistically assume linear speedup (this is what makes
     // the policy hand 30 processors to a brand-new job).
-    return p;
+    return Fit{};
   }
   const std::vector<Sample>& samples = it->second.samples;
   const Sample& latest = samples.back();
@@ -72,19 +79,37 @@ double EqualEfficiency::ExtrapolatedSpeedup(JobId job, double p) const {
       break;
     }
   }
-  const double base_p = static_cast<double>(latest.procs);
-  return latest.speedup * std::pow(p / base_p, alpha);
+  return Fit{false, latest.speedup, static_cast<double>(latest.procs), alpha};
 }
 
-AllocationPlan EqualEfficiency::Reallocate(const PolicyContext& ctx) const {
-  AllocationPlan plan;
+AllocationPlan EqualEfficiency::Reallocate(const PolicyContext& ctx) {
   if (ctx.jobs.empty()) {
-    return plan;
+    return AllocationPlan{};
   }
   reallocations_->Increment();
+  const auto same_job = [](const std::pair<JobId, int>& memo, const PolicyJobInfo& job) {
+    return memo.first == job.id && memo.second == job.request;
+  };
+  // A cleared key never matches: ctx.jobs is not empty here.
+  if (memo_cpus_ != ctx.total_cpus ||
+      !std::equal(memo_jobs_.begin(), memo_jobs_.end(), ctx.jobs.begin(), ctx.jobs.end(),
+                  same_job)) {
+    memo_plan_ = ComputePlan(ctx);
+    memo_cpus_ = ctx.total_cpus;
+    memo_jobs_.clear();
+    for (const PolicyJobInfo& job : ctx.jobs) {
+      memo_jobs_.emplace_back(job.id, job.request);
+    }
+  }
+  return memo_plan_;
+}
+
+AllocationPlan EqualEfficiency::ComputePlan(const PolicyContext& ctx) const {
   // Everyone gets one processor (run-to-completion floor), then processors
   // go one at a time to the job whose *extrapolated* efficiency at its next
-  // allocation is highest.
+  // allocation is highest. Only the winner's next efficiency changes in a
+  // round, so each job is fitted once and re-evaluated only when it wins.
+  AllocationPlan plan;
   int remaining = ctx.total_cpus;
   for (const PolicyJobInfo& job : ctx.jobs) {
     plan[job.id] = 1;
@@ -94,27 +119,37 @@ AllocationPlan EqualEfficiency::Reallocate(const PolicyContext& ctx) const {
     // More jobs than processors cannot happen with the paper's MLs.
     return plan;
   }
+  struct Candidate {
+    Fit fit;
+    int next = 2;
+    int request = 0;
+    double eff = 0.0;  // extrapolated efficiency at `next`
+  };
+  std::vector<Candidate> candidates;
+  candidates.reserve(ctx.jobs.size());
+  const auto evaluate = [](Candidate& c) {
+    c.eff = c.fit.SpeedupAt(c.next) / c.next;
+  };
+  for (const PolicyJobInfo& job : ctx.jobs) {
+    Candidate& c = candidates.emplace_back(Candidate{FitOf(job.id), 2, job.request, 0.0});
+    evaluate(c);
+  }
   while (remaining > 0) {
     double best_eff = -1.0;
-    JobId best_job = kIdleJob;
-    int best_request = 0;
-    for (const PolicyJobInfo& job : ctx.jobs) {
-      const int next = plan[job.id] + 1;
-      if (next > job.request) {
-        continue;
-      }
-      const double eff = ExtrapolatedSpeedup(job.id, next) / next;
-      if (eff > best_eff) {
-        best_eff = eff;
-        best_job = job.id;
-        best_request = job.request;
+    std::size_t best = candidates.size();
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+      const Candidate& c = candidates[i];
+      if (c.next <= c.request && c.eff > best_eff) {
+        best_eff = c.eff;
+        best = i;
       }
     }
-    if (best_job == kIdleJob) {
+    if (best == candidates.size()) {
       break;  // Every job is at its request.
     }
-    (void)best_request;
-    ++plan[best_job];
+    ++plan[ctx.jobs[best].id];
+    ++candidates[best].next;
+    evaluate(candidates[best]);
     --remaining;
   }
   return plan;

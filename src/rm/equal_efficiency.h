@@ -10,7 +10,9 @@
 #ifndef SRC_RM_EQUAL_EFFICIENCY_H_
 #define SRC_RM_EQUAL_EFFICIENCY_H_
 
+#include <cmath>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "src/rm/policy.h"
@@ -55,11 +57,29 @@ class EqualEfficiency : public SchedulingPolicy {
   struct JobModel {
     std::vector<Sample> samples;  // most recent last
   };
+  // A job's speedup model S(p) = s1 * (p / p1)^alpha, fitted at its latest
+  // sample; `linear` (no samples yet) means S(p) = p.
+  struct Fit {
+    bool linear = true;
+    double s1 = 0.0;
+    double p1 = 0.0;
+    double alpha = 0.0;
+    double SpeedupAt(double p) const { return linear ? p : s1 * std::pow(p / p1, alpha); }
+  };
 
-  AllocationPlan Reallocate(const PolicyContext& ctx) const;
+  Fit FitOf(JobId job) const;
+  // The plan is a function of the models and of the context's capacity and
+  // (job, request) list only, so it is memoised under that key: models_
+  // changes clear the key, and a context other than the memoised one
+  // recomputes the plan.
+  AllocationPlan Reallocate(const PolicyContext& ctx);
+  AllocationPlan ComputePlan(const PolicyContext& ctx) const;
 
   Params params_;
   std::map<JobId, JobModel> models_;
+  int memo_cpus_ = 0;
+  std::vector<std::pair<JobId, int>> memo_jobs_;
+  AllocationPlan memo_plan_;
   Counter* reallocations_ = nullptr;
 };
 

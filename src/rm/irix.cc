@@ -26,6 +26,7 @@ AllocationPlan IrixTimeShare::OnJobStart(const PolicyContext& ctx, JobId job) {
       for (int i = 0; i < info.request; ++i) {
         threads_.push_back(Thread{job, -1, false, 0.0});
       }
+      OnThreadsChanged();
       break;
     }
   }
@@ -34,8 +35,26 @@ AllocationPlan IrixTimeShare::OnJobStart(const PolicyContext& ctx, JobId job) {
 
 AllocationPlan IrixTimeShare::OnJobFinish(const PolicyContext& ctx, JobId job) {
   (void)ctx;
-  std::erase_if(threads_, [job](const Thread& t) { return t.job == job; });
+  if (std::erase_if(threads_, [job](const Thread& t) { return t.job == job; }) > 0) {
+    OnThreadsChanged();
+  }
   return AllocationPlan{};
+}
+
+void IrixTimeShare::OnThreadsChanged() {
+  job_ids_.clear();
+  for (const Thread& t : threads_) {
+    job_ids_.push_back(t.job);
+  }
+  std::sort(job_ids_.begin(), job_ids_.end());
+  job_ids_.erase(std::unique(job_ids_.begin(), job_ids_.end()), job_ids_.end());
+  for (Thread& t : threads_) {
+    t.job_index = static_cast<int>(std::lower_bound(job_ids_.begin(), job_ids_.end(), t.job) -
+                                   job_ids_.begin());
+  }
+  order_.resize(threads_.size());
+  std::iota(order_.begin(), order_.end(), 0);
+  order_stale_ = true;
 }
 
 bool IrixTimeShare::ShouldAdmit(const PolicyContext& ctx) const {
@@ -59,7 +78,9 @@ void IrixTimeShare::AdjustThreadCounts(const PolicyContext& ctx, int ncpus) {
   // Fair share per running application (the SGI-MP heuristic reacts to the
   // load average; the effect is a slow drift of each team toward ncpus/ml).
   const int fair = std::max(1, ncpus / static_cast<int>(ctx.jobs.size()));
+  bool changed = false;
   for (const PolicyJobInfo& info : ctx.jobs) {
+    const std::size_t threads_before = threads_.size();
     const int have = ThreadCountOf(info.id);
     const int floor_threads =
         std::max(1, static_cast<int>(info.request * params_.omp_min_fraction));
@@ -80,6 +101,10 @@ void IrixTimeShare::AdjustThreadCounts(const PolicyContext& ctx, int ncpus) {
         threads_.push_back(Thread{info.id, -1, false, 0.0});
       }
     }
+    changed = changed || threads_.size() != threads_before;
+  }
+  if (changed) {
+    OnThreadsChanged();
   }
 }
 
@@ -114,63 +139,86 @@ std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
 
   // Dispatch order: lowest effective vruntime first, where a thread that ran
   // last tick gets an affinity/timeslice bonus. This is a coarse model of
-  // IRIX's priority aging with affinity.
+  // IRIX's priority aging with affinity. Equal keys go in thread-index order.
   const double bonus_s = TimeToSeconds(params_.affinity_bonus);
-  std::vector<int> order(threads_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-    const Thread& ta = threads_[static_cast<std::size_t>(a)];
-    const Thread& tb = threads_[static_cast<std::size_t>(b)];
-    const double ka = ta.vruntime_s - (ta.running ? bonus_s : 0.0);
-    const double kb = tb.vruntime_s - (tb.running ? bonus_s : 0.0);
-    return ka < kb;
-  });
+  keys_.resize(threads_.size());
+  for (std::size_t i = 0; i < threads_.size(); ++i) {
+    const Thread& t = threads_[i];
+    keys_[i] = t.vruntime_s - (t.running ? bonus_s : 0.0);
+  }
+  const auto before = [this](int a, int b) {
+    const double ka = keys_[static_cast<std::size_t>(a)];
+    const double kb = keys_[static_cast<std::size_t>(b)];
+    return ka < kb || (ka == kb && a < b);
+  };
+  if (order_stale_) {
+    std::sort(order_.begin(), order_.end(), before);
+    order_stale_ = false;
+  } else {
+    for (std::size_t i = 1; i < order_.size(); ++i) {
+      const int moving = order_[i];
+      std::size_t j = i;
+      for (; j > 0 && before(moving, order_[j - 1]); --j) {
+        order_[j] = order_[j - 1];
+      }
+      order_[j] = moving;
+    }
+  }
 
   const int to_run = std::min(ncpus, nthreads);
-  std::vector<bool> cpu_taken(static_cast<std::size_t>(ncpus), false);
-  std::map<JobId, int> migrations;
-  std::map<JobId, int> running_count;
+  cpu_taken_.assign(static_cast<std::size_t>(ncpus), 0);
+  cpu_assigned_.assign(static_cast<std::size_t>(ncpus), 0);
+  running_by_job_.assign(job_ids_.size(), 0);
+  migrations_by_job_.assign(job_ids_.size(), 0);
+  const auto thread_at = [this](int rank) -> Thread& {
+    return threads_[static_cast<std::size_t>(order_[static_cast<std::size_t>(rank)])];
+  };
 
   // Pass 1: selected threads reclaim their previous CPU when possible.
   for (int i = 0; i < to_run; ++i) {
-    Thread& t = threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
-    if (t.last_cpu >= 0 && t.last_cpu < ncpus && !cpu_taken[static_cast<std::size_t>(t.last_cpu)]) {
-      cpu_taken[static_cast<std::size_t>(t.last_cpu)] = true;
+    const Thread& t = thread_at(i);
+    if (t.last_cpu >= 0 && t.last_cpu < ncpus) {
+      cpu_taken_[static_cast<std::size_t>(t.last_cpu)] = 1;
     }
   }
   // Pass 2: place every selected thread; the ones whose CPU was claimed by
   // someone else (or who never ran) take the lowest free CPU and migrate.
-  std::vector<bool> cpu_assigned(static_cast<std::size_t>(ncpus), false);
+  // CPUs only ever become assigned during this pass, so the lowest CPU that
+  // is neither reclaimed nor assigned, and the lowest unassigned one, only
+  // move up: two forward cursors find them.
+  const double dt_s = TimeToSeconds(dt);
+  int free_cursor = 0;
+  int steal_cursor = 0;
   for (int i = 0; i < to_run; ++i) {
-    Thread& t = threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])];
+    Thread& t = thread_at(i);
     int cpu = -1;
     if (t.last_cpu >= 0 && t.last_cpu < ncpus &&
-        !cpu_assigned[static_cast<std::size_t>(t.last_cpu)] &&
-        cpu_taken[static_cast<std::size_t>(t.last_cpu)]) {
+        cpu_assigned_[static_cast<std::size_t>(t.last_cpu)] == 0 &&
+        cpu_taken_[static_cast<std::size_t>(t.last_cpu)] != 0) {
       cpu = t.last_cpu;
     } else {
-      for (int c = 0; c < ncpus; ++c) {
-        if (!cpu_taken[static_cast<std::size_t>(c)] && !cpu_assigned[static_cast<std::size_t>(c)]) {
-          cpu = c;
-          break;
-        }
+      while (free_cursor < ncpus && (cpu_taken_[static_cast<std::size_t>(free_cursor)] != 0 ||
+                                     cpu_assigned_[static_cast<std::size_t>(free_cursor)] != 0)) {
+        ++free_cursor;
       }
-      if (cpu < 0) {
+      if (free_cursor < ncpus) {
+        cpu = free_cursor;
+      } else {
         // All non-reclaimed CPUs exhausted: steal any unassigned CPU.
-        for (int c = 0; c < ncpus; ++c) {
-          if (!cpu_assigned[static_cast<std::size_t>(c)]) {
-            cpu = c;
-            break;
-          }
+        while (steal_cursor < ncpus && cpu_assigned_[static_cast<std::size_t>(steal_cursor)] != 0) {
+          ++steal_cursor;
+        }
+        if (steal_cursor < ncpus) {
+          cpu = steal_cursor;
         }
       }
       if (cpu >= 0 && t.last_cpu >= 0 && cpu != t.last_cpu) {
-        ++migrations[t.job];
+        ++migrations_by_job_[static_cast<std::size_t>(t.job_index)];
         ++total_thread_migrations_;
       }
     }
     PDPA_CHECK_GE(cpu, 0);
-    cpu_assigned[static_cast<std::size_t>(cpu)] = true;
+    cpu_assigned_[static_cast<std::size_t>(cpu)] = 1;
     const JobId prev_owner = machine.OwnerOf(cpu);
     if (prev_owner != t.job) {
       machine.SetOwner(cpu, t.job);
@@ -182,17 +230,17 @@ std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
     t.running = true;
     // Work imbalance jitter desynchronizes dispatch epochs and sustains the
     // migration churn observed on the real machine.
-    t.vruntime_s += TimeToSeconds(dt) * (1.0 + rng_.Uniform(-params_.vruntime_jitter,
-                                                            params_.vruntime_jitter));
-    ++running_count[t.job];
+    t.vruntime_s +=
+        dt_s * (1.0 + rng_.Uniform(-params_.vruntime_jitter, params_.vruntime_jitter));
+    ++running_by_job_[static_cast<std::size_t>(t.job_index)];
   }
   // Threads beyond the CPU count wait this tick.
   for (int i = to_run; i < nthreads; ++i) {
-    threads_[static_cast<std::size_t>(order[static_cast<std::size_t>(i)])].running = false;
+    thread_at(i).running = false;
   }
   // Idle CPUs (fewer threads than CPUs) release their owner.
   for (int c = 0; c < ncpus; ++c) {
-    if (!cpu_assigned[static_cast<std::size_t>(c)] && machine.OwnerOf(c) != kIdleJob) {
+    if (cpu_assigned_[static_cast<std::size_t>(c)] == 0 && machine.OwnerOf(c) != kIdleJob) {
       const JobId prev_owner = machine.OwnerOf(c);
       machine.SetOwner(c, kIdleJob);
       if (handoffs != nullptr) {
@@ -206,11 +254,14 @@ std::map<JobId, TimeShare> IrixTimeShare::TimeShareTick(Machine& machine,
   const double contention =
       1.0 / (1.0 + params_.overcommit_penalty * std::max(0.0, overcommit - 1.0));
   for (auto& [job, share] : shares) {
-    const int running = running_count.contains(job) ? running_count[job] : 0;
+    const auto it = std::lower_bound(job_ids_.begin(), job_ids_.end(), job);
+    const bool has_threads = it != job_ids_.end() && *it == job;
+    const std::size_t k = static_cast<std::size_t>(it - job_ids_.begin());
+    const int running = has_threads ? running_by_job_[k] : 0;
     share.effective_procs = static_cast<double>(running);
     double overhead = contention;
     if (running > 0) {
-      const int migs = migrations.contains(job) ? migrations[job] : 0;
+      const int migs = migrations_by_job_[k];
       overhead *= std::max(0.1, 1.0 - params_.migration_cost * static_cast<double>(migs) /
                                           static_cast<double>(running));
     }

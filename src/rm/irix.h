@@ -80,14 +80,34 @@ class IrixTimeShare : public SchedulingPolicy {
     int last_cpu = -1;
     bool running = false;
     double vruntime_s = 0.0;
+    // Position of `job` in job_ids_; kept current by OnThreadsChanged.
+    int job_index = 0;
   };
 
   // Slow OMP_DYNAMIC thread-count adaptation toward the fair share.
   void AdjustThreadCounts(const PolicyContext& ctx, int ncpus);
+  // Re-indexes jobs and schedules a full re-sort of the dispatch order;
+  // called after every insertion into or removal from threads_.
+  void OnThreadsChanged();
 
   Params params_;
   Rng rng_;
   std::vector<Thread> threads_;
+  // Dispatch order: thread indices ascending by (effective vruntime, thread
+  // index), a unique total order. Carried between ticks and re-sorted by
+  // insertion, since it barely changes from one tick to the next; one full
+  // sort rebuilds it after threads_ changes.
+  std::vector<int> order_;
+  bool order_stale_ = true;
+  // Distinct jobs owning threads, ascending.
+  std::vector<JobId> job_ids_;
+  // Per-tick scratch: effective vruntimes by thread, reclaimed/assigned
+  // flags by CPU, and running/migrated thread counts by job index.
+  std::vector<double> keys_;
+  std::vector<char> cpu_taken_;
+  std::vector<char> cpu_assigned_;
+  std::vector<int> running_by_job_;
+  std::vector<int> migrations_by_job_;
   Counter* dispatch_ticks_ = nullptr;
   long long total_thread_migrations_ = 0;
   SimTime next_adjust_ = 0;

@@ -298,15 +298,19 @@ std::map<JobId, double> ResourceManager::alloc_integral_us() const {
 void ResourceManager::AuditInvariants(const char* where) const {
   // Every owned CPU belongs to a job with a live slot. Machine::owner_ is
   // single-valued per CPU, so double-ownership cannot be represented; the
-  // reachable failure mode is a CPU still booked to a released job.
+  // reachable failure mode is a CPU still booked to a released job. The
+  // machine's running free-CPU count must match the scan.
+  int idle = 0;
   for (int cpu = 0; cpu < machine_.num_cpus(); ++cpu) {
     const JobId owner = machine_.OwnerOf(cpu);
     if (owner == kIdleJob) {
+      ++idle;
       continue;
     }
     PDPA_CHECK(SlotOf(owner) >= 0)
         << where << ": cpu " << cpu << " owned by job " << owner << " with no live slot";
   }
+  PDPA_CHECK_EQ(machine_.FreeCpus(), idle) << where << ": free-CPU count drifted";
   if (policy_->is_time_sharing()) {
     // Time sharing decouples thread counts from CPU ownership (the OS
     // multiplexes); only the ownership/slot check above applies.
@@ -743,13 +747,14 @@ void ResourceManager::OnTick(SimTime now) {
   const SimDuration dt = now - advanced_to_;
 
   if (policy_->is_time_sharing()) {
-    std::vector<CpuHandoff> handoffs;
+    tick_handoffs_.clear();
     const std::map<JobId, TimeShare> shares = [&] {
       ProfScope decide_scope(profiler_, SpanId::kPolicyDecide);
-      return policy_->TimeShareTick(machine_, FillContext(now), dt, &handoffs);
+      return policy_->TimeShareTick(machine_, FillContext(now), dt, &tick_handoffs_);
     }();
+    PDPA_RM_AUDIT("time-share tick");
     if (trace_ != nullptr) {
-      trace_->OnHandoffs(advanced_to_, handoffs);
+      trace_->OnHandoffs(advanced_to_, tick_handoffs_);
     }
     for (const auto& [job, share] : shares) {
       const int slot = SlotOf(job);

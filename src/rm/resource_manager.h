@@ -281,6 +281,8 @@ class ResourceManager {
 
   mutable PolicyContext scratch_ctx_;
   std::vector<std::pair<JobId, int>> plan_scratch_;
+  // Reused per-tick handoff buffer of time-sharing policies.
+  std::vector<CpuHandoff> tick_handoffs_;
 
   JobFinishCallback on_finish_;
   StateChangeCallback on_state_change_;

@@ -223,5 +223,54 @@ TEST(MachinePropertyTest, RandomAllocationSequencesStayConsistent) {
   }
 }
 
+// The running free-CPU count matches a full scan after every kind of
+// ownership change: single-CPU assignment, full and partial allocation, and
+// job release.
+TEST(MachinePropertyTest, FreeCpuCountMatchesScanUnderMixedMutations) {
+  Rng rng(77);
+  Machine machine(60);
+  const auto scan = [&machine] {
+    int idle = 0;
+    for (int cpu = 0; cpu < machine.num_cpus(); ++cpu) {
+      idle += machine.OwnerOf(cpu) == kIdleJob ? 1 : 0;
+    }
+    return idle;
+  };
+  for (int round = 0; round < 2000; ++round) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0: {
+        // Includes re-assigning a CPU to its current owner and to idle.
+        const JobId job = rng.UniformInt(-1, 5) < 0 ? kIdleJob : rng.UniformInt(0, 5);
+        machine.SetOwner(rng.UniformInt(0, 59), job);
+        break;
+      }
+      case 1: {
+        std::map<JobId, int> target;
+        int left = 60;
+        for (JobId job = 0; job < 6; ++job) {
+          const int count = rng.UniformInt(0, left / 2);
+          if (count > 0) {
+            target[job] = count;
+            left -= count;
+          }
+        }
+        (void)machine.ApplyAllocation(target);
+        break;
+      }
+      case 2: {
+        const JobId job = rng.UniformInt(0, 5);
+        const int count =
+            rng.UniformInt(0, machine.CountOf(job) + machine.FreeCpus());
+        (void)machine.ApplyPartial({{job, count}});
+        break;
+      }
+      default:
+        (void)machine.ReleaseJob(rng.UniformInt(0, 5));
+        break;
+    }
+    ASSERT_EQ(machine.FreeCpus(), scan()) << "round " << round;
+  }
+}
+
 }  // namespace
 }  // namespace pdpa

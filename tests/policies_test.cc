@@ -2,6 +2,13 @@
 // Equal_efficiency and the IRIX time-sharing model.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <map>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/core/pdpa_policy.h"
 #include "src/machine/machine.h"
@@ -139,6 +146,28 @@ TEST(EqualEfficiencyTest, PlanRespectsRequestsAndFloor) {
   EXPECT_LE(plan.at(1), 2);
   EXPECT_GE(plan.at(2), 1);
   EXPECT_LE(plan.at(2), 30);
+}
+
+TEST(EqualEfficiencyTest, RestartForgetsSamplesWithAnUnchangedJobList) {
+  // A start resets the job's model to "unknown, assume linear" even when the
+  // context names the same jobs as the previous plan did.
+  EqualEfficiency policy;
+  PolicyContext ctx = MakeContext({{1, 30}, {2, 30}}, /*total_cpus=*/40);
+  (void)policy.OnJobStart(ctx, 1);
+  (void)policy.OnJobStart(ctx, 2);
+  const AllocationPlan fresh = policy.OnQuantum(ctx);
+  // Job 1 turns out not to scale, so job 2 takes over its processors.
+  PerfReport r;
+  r.job = 1;
+  r.procs = 4;
+  r.speedup = 1.3;
+  (void)policy.OnReport(ctx, r);
+  r.procs = 8;
+  r.speedup = 1.4;
+  (void)policy.OnReport(ctx, r);
+  ASSERT_NE(policy.OnQuantum(ctx), fresh);
+  (void)policy.OnJobStart(ctx, 1);
+  EXPECT_EQ(policy.OnQuantum(ctx), fresh);
 }
 
 TEST(EqualEfficiencyTest, NoiseCausesAllocationVariance) {
@@ -395,6 +424,168 @@ TEST(PdpaPolicyTest, AdmissionRequiresFreeCpu) {
   PdpaPolicy policy(PdpaParams{}, PdpaMlParams{});
   EXPECT_FALSE(policy.ShouldAdmit(MakeContext({{1, 30}}, 60, 0)));
   EXPECT_TRUE(policy.ShouldAdmit(MakeContext({{1, 30}}, 60, 5)));
+}
+
+// ---------------------------------------------------------------------------
+// Golden runs of the two per-tick baselines. The expected digests were taken
+// from the straightforward implementations (full stable sort of every thread
+// per IRIX tick; a from-scratch Equal_efficiency reallocation on every call),
+// so any faster path must reproduce them bit for bit.
+
+// FNV-1a over 64-bit words.
+class Digest {
+ public:
+  void Add(std::uint64_t word) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  }
+  void Add(double value) { Add(std::bit_cast<std::uint64_t>(value)); }
+  void Add(int value) { Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(value))); }
+  std::uint64_t value() const { return hash_; }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+struct IrixGolden {
+  std::uint64_t digest = 0;
+  long long migrations = 0;
+};
+
+// Scripted IRIX run on 60 CPUs: four 30-thread jobs start together (all
+// threads tie at vruntime 0), jobs finish and start mid-run, the machine
+// drains to undercommit and then to no threads at all, and OMP_DYNAMIC
+// adjusts team sizes every simulated second.
+IrixGolden RunIrixScript(IrixTimeShare::Params params) {
+  params.omp_adjust_period = kSecond;
+  IrixTimeShare policy(params, Rng(7));
+  Machine machine(60);
+  PolicyContext ctx = MakeContext({}, 60);
+  const auto start = [&](JobId job, int request) {
+    PolicyJobInfo info;
+    info.id = job;
+    info.request = request;
+    ctx.jobs.push_back(info);
+    (void)policy.OnJobStart(ctx, job);
+  };
+  const auto finish = [&](JobId job) {
+    std::erase_if(ctx.jobs, [job](const PolicyJobInfo& info) { return info.id == job; });
+    (void)policy.OnJobFinish(ctx, job);
+  };
+  for (JobId job = 0; job < 4; ++job) {
+    start(job, 30);
+  }
+  // (tick, job, request): a positive request starts the job, 0 finishes it.
+  struct Step {
+    int tick;
+    JobId job;
+    int request;
+  };
+  const std::vector<Step> script = {{700, 1, 0},   {900, 4, 30},  {1500, 0, 0},  {1500, 2, 0},
+                                    {1501, 5, 12}, {2000, 6, 30}, {2000, 7, 24}, {2400, 3, 0},
+                                    {2400, 4, 0},  {2400, 6, 0},  {2700, 5, 0},  {2700, 7, 0},
+                                    {2750, 8, 30}};
+  std::size_t next_step = 0;
+  Digest digest;
+  std::vector<CpuHandoff> handoffs;
+  for (int tick = 0; tick < 3000; ++tick) {
+    for (; next_step < script.size() && script[next_step].tick == tick; ++next_step) {
+      const Step& step = script[next_step];
+      if (step.request > 0) {
+        start(step.job, step.request);
+      } else {
+        finish(step.job);
+      }
+    }
+    handoffs.clear();
+    const std::map<JobId, TimeShare> shares =
+        policy.TimeShareTick(machine, ctx, 20 * kMillisecond, &handoffs);
+    for (const auto& [job, share] : shares) {
+      digest.Add(job);
+      digest.Add(share.effective_procs);
+      digest.Add(share.overhead);
+    }
+    digest.Add(static_cast<int>(handoffs.size()));
+    for (const CpuHandoff& h : handoffs) {
+      digest.Add(h.cpu);
+      digest.Add(h.from);
+      digest.Add(h.to);
+    }
+  }
+  return IrixGolden{digest.value(), policy.total_thread_migrations()};
+}
+
+TEST(IrixGoldenTest, DefaultParamsScriptedRun) {
+  const IrixGolden golden = RunIrixScript(IrixTimeShare::Params{});
+  EXPECT_EQ(golden.digest, 0xB43D1C7A0CEFAD48ULL);
+  EXPECT_EQ(golden.migrations, 4468);
+}
+
+TEST(IrixGoldenTest, ZeroJitterScriptedRunBreaksTiesByThreadIndex) {
+  // Without jitter every running thread advances by exactly one tick, so
+  // effective vruntimes tie all the time and the thread index decides.
+  IrixTimeShare::Params params;
+  params.vruntime_jitter = 0.0;
+  const IrixGolden golden = RunIrixScript(params);
+  EXPECT_EQ(golden.digest, 0xB4CE34C56D4D926BULL);
+  EXPECT_EQ(golden.migrations, 4061);
+}
+
+TEST(EqualEfficiencyGoldenTest, PlanSequenceOverInterleavedEvents) {
+  // Reports, quanta, starts and finishes interleaved at random; every plan
+  // returned goes into the digest, so a quantum that reused a plan across a
+  // change of the job set or of a job's samples would show.
+  Registry registry;
+  EqualEfficiency policy;
+  policy.set_registry(&registry);
+  Rng rng(11);
+  PolicyContext ctx = MakeContext({}, 60);
+  std::map<JobId, int> alloc;
+  std::map<JobId, double> alpha;
+  JobId next_job = 0;
+  Digest digest;
+  int nonempty_calls = 0;
+  const auto record = [&](const AllocationPlan& plan) {
+    nonempty_calls += ctx.jobs.empty() ? 0 : 1;
+    digest.Add(static_cast<int>(plan.size()));
+    for (const auto& [job, count] : plan) {
+      digest.Add(job);
+      digest.Add(count);
+      alloc[job] = count;
+    }
+  };
+  for (int step = 0; step < 2000; ++step) {
+    const double u = rng.NextDouble();
+    if ((u < 0.05 && ctx.jobs.size() < 4) || ctx.jobs.empty()) {
+      const JobId job = next_job++;
+      PolicyJobInfo info;
+      info.id = job;
+      info.request = rng.UniformInt(2, 40);
+      ctx.jobs.push_back(info);
+      alpha[job] = rng.Uniform(0.2, 1.1);
+      record(policy.OnJobStart(ctx, job));
+    } else if (u < 0.08) {
+      const std::size_t victim =
+          static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(ctx.jobs.size()) - 1));
+      const JobId job = ctx.jobs[victim].id;
+      ctx.jobs.erase(ctx.jobs.begin() + static_cast<std::ptrdiff_t>(victim));
+      record(policy.OnJobFinish(ctx, job));
+    } else if (u < 0.5) {
+      const std::size_t who =
+          static_cast<std::size_t>(rng.UniformInt(0, static_cast<int>(ctx.jobs.size()) - 1));
+      PerfReport report;
+      report.job = ctx.jobs[who].id;
+      report.procs = std::max(1, alloc[report.job]);
+      report.speedup = std::pow(static_cast<double>(report.procs), alpha[report.job]) *
+                       rng.Uniform(0.9, 1.1);
+      record(policy.OnReport(ctx, report));
+    } else {
+      record(policy.OnQuantum(ctx));
+    }
+  }
+  EXPECT_EQ(digest.value(), 0xEDD28C0DB4ABABEFULL);
+  EXPECT_EQ(registry.counter("policy.equal_eff.reallocations")->value(), nonempty_calls);
 }
 
 }  // namespace

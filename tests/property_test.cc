@@ -5,6 +5,11 @@
 //  * Application progress conservation across tick sizes
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <ostream>
+#include <string>
+
 #include "src/app/application.h"
 #include "src/common/rng.h"
 #include "src/core/pdpa_policy.h"
@@ -78,6 +83,21 @@ struct ConvergenceCase {
   int initial_free;
 };
 
+// Test names and the GetParam() text that ctest appends to them are built
+// from the fields alone: gtest's default printer would dump the struct's
+// padding bytes, which differ from run to run.
+void PrintTo(const ConvergenceCase& c, std::ostream* os) {
+  *os << AppClassName(c.app_class) << " target_eff " << c.target_eff << " on " << c.initial_free
+      << " cpus";
+}
+
+std::string ConvergenceCaseName(const ::testing::TestParamInfo<ConvergenceCase>& info) {
+  std::string app = AppClassName(info.param.app_class);
+  std::replace(app.begin(), app.end(), '.', '_');
+  return app + "_t" + std::to_string(static_cast<int>(std::lround(info.param.target_eff * 100))) +
+         "_cpus" + std::to_string(info.param.initial_free);
+}
+
 class PdpaConvergenceTest : public ::testing::TestWithParam<ConvergenceCase> {};
 
 TEST_P(PdpaConvergenceTest, SingleAppSettlesAtAcceptableAllocation) {
@@ -128,7 +148,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ConvergenceCase{AppClass::kHydro2d, 0.5, 60},
                       ConvergenceCase{AppClass::kApsi, 0.7, 60},
                       ConvergenceCase{AppClass::kSwim, 0.7, 12},
-                      ConvergenceCase{AppClass::kSwim, 0.7, 60}));
+                      ConvergenceCase{AppClass::kSwim, 0.7, 60}),
+    ConvergenceCaseName);
 
 // ---------------------------------------------------------------------------
 // RM safety under an adversarial policy that emits random plans: the RM
