@@ -7,9 +7,10 @@
 // enforces `bench_check --min prof_off_factor=0.98` (<= 2% overhead from
 // the disabled instrumentation). Wall times are medians over --repeat.
 //
-// prof_hits_total / prof_span_kinds are the deterministic half of the
-// profile (exact-match metrics in bench_check); the *_wall_s / *_per_s
-// fields are informational host measurements.
+// prof_hits_total / prof_span_kinds and the per-span prof_hits_<span>
+// counts are the deterministic half of the profile (exact-match metrics in
+// bench_check, so a regression names the span that moved); the *_wall_s /
+// *_per_s fields are informational host measurements.
 //
 // Usage: prof_bench [--seeds N] [--repeat N] [--sweep_baseline BENCH_sweep.json]
 //                   [--out BENCH_prof.json]
@@ -137,7 +138,12 @@ int Run(int argc, char** argv) {
       << "  \"prof_spans_per_s\": "
       << (on_s > 0 ? static_cast<double>(hits) / on_s : 0) << ",\n"
       << "  \"prof_hits_total\": " << hits << ",\n"
-      << "  \"prof_span_kinds\": " << span_kinds << ",\n"
+      << "  \"prof_span_kinds\": " << span_kinds << ",\n";
+  for (int i = 0; i < kNumSpanIds; ++i) {
+    const SpanId id = static_cast<SpanId>(i);
+    out << "  \"prof_hits_" << SpanName(id) << "\": " << merged.stats(id).hits << ",\n";
+  }
+  out
       << "  \"outputs_identical\": " << (identical ? "true" : "false") << "\n"
       << "}\n";
   std::fprintf(stderr,

@@ -9,27 +9,21 @@
 // node-boundary fragmentation (a 30-CPU request cannot use 2x15 free CPUs
 // on two different machines).
 //
-// Sharded execution (DESIGN.md §13): every node owns a private Simulation
-// and advances independently, so the cluster is a conservative parallel
-// discrete-event simulation. Nodes are partitioned over `shards` event
-// loops (node k lives on shard k % shards); each shard interleaves its
-// nodes one event at a time in global (time, node) order and runs freely up
-// to the controller's barrier, before which no new cross-node interaction
-// can possibly occur. The only cross-node facts are job completions and
-// admission flips, which shards surface to the controller at their exact
-// timestamps; the controller handles each completion batch, places queued
-// jobs, and resumes. Every controller decision is made in canonical
-// (time, node-index) order regardless of the shard count, so a run with
-// `shards == 1` (which executes inline on the calling thread, with zero
-// synchronization) and a run with N worker threads produce byte-identical
-// event logs, time-series CSVs and counters. tests/cluster_test.cc asserts
-// exactly that.
+// Execution (DESIGN.md §13): every node owns a private Simulation, and one
+// serial event loop interleaves them one event at a time in global
+// (time, node) order up to the controller's barrier, before which no new
+// cross-node interaction can possibly occur. The only cross-node facts are
+// job completions and admission flips, which nodes surface to the
+// controller at their exact timestamps; the controller handles each
+// completion batch, places queued jobs, and resumes. Every controller
+// decision is made in canonical (time, node-index) order, so event logs,
+// time-series CSVs and counters are a pure function of the inputs.
 //
 // Epoch batching: instead of re-barriering at every single arrival, the
 // controller batches arrivals inside provably safe windows — while no node
 // admits, arrivals are pure queue pushes and the barrier jumps straight to
 // the cutoff; while nodes admit, successive arrival groups are placed in
-// one quiesced cycle as long as each group precedes the earliest possible
+// one controller cycle as long as each group precedes the earliest pending
 // node event. Placements are applied in the same canonical (time,
 // node-index) order either way, so batching changes only the two
 // batch-protocol counters. Reference mode (`rm_params.reference`) runs one
@@ -83,18 +77,13 @@ struct ClusterOptions {
   // Per-node RM parameters; num_cpus is overridden with cpus_per_node, and
   // reference also turns epoch batching off.
   ResourceManager::Params rm_params;
-  // Root seed; node k's RM gets the k-th fork, independent of sharding.
+  // Root seed; node k's RM gets the k-th fork.
   std::uint64_t seed = 1;
-  // Worker event loops. 1 (the default) runs the whole cluster inline on
-  // the calling thread — the serial reference. Clamped to [1, num_nodes].
-  int shards = 1;
   // Simulation-time cutoff; 0 means run until the workload drains.
   SimTime max_sim_time = 0;
-  // Borrowed host-time profiler for the controller thread (null disables).
-  // Controller spans: cluster.barrier_wait, cluster.drain, cluster.place.
-  // With shards == 1 the node-level sim/rm/obs spans are recorded too (the
-  // inline loop runs on the controller thread); with worker threads they
-  // stay dark — Profiler is single-writer, and workers never touch it.
+  // Borrowed host-time profiler (null disables). Controller spans:
+  // cluster.barrier_wait, cluster.drain, cluster.place; the node-level
+  // sim/rm/obs spans are recorded too (the nodes run on the calling thread).
   Profiler* profiler = nullptr;
   // Flight-recorder capture. Events and time-series are merged across the
   // controller and all nodes into single deterministic artifacts; the
@@ -114,7 +103,6 @@ struct ClusterResult {
   bool completed = true;
   // Last completion time, or the cutoff when the run timed out.
   SimTime end_time = 0;
-  int shards_used = 1;
   // High-water mark of per-node multiprogramming level.
   int max_node_running = 0;
   long long total_reallocations = 0;
@@ -134,9 +122,8 @@ struct ClusterResult {
 };
 
 // Simulates `workload` (submit-sorted, unique job ids) on the cluster
-// described by `options` and returns the merged result. The output contract
-// is that every field of ClusterResult is a pure function of (workload,
-// options minus shards): the shard count only changes wall-clock time.
+// described by `options` and returns the merged result. Every field of
+// ClusterResult is a pure function of (workload, options).
 ClusterResult RunCluster(const std::vector<JobSpec>& workload, const ClusterOptions& options);
 
 // RunCluster with epoch batching off (reference mode's one barrier per

@@ -25,12 +25,8 @@
 //     acquisition whose textually-held set violates the rank order;
 //   * at runtime (-DPDPA_AUDIT): every thread keeps a thread-local stack of
 //     held ranks, and Lock() PDPA_CHECK-fails on the first out-of-order
-//     acquisition — covering the std::unique_lock / condition-variable
-//     paths the static rule cannot see.
-//
-// The lowercase lock()/unlock()/try_lock() aliases satisfy BasicLockable so
-// std::unique_lock<pdpa::Mutex> and std::condition_variable_any work with
-// ranked mutexes (the cluster controller's wait loops need them).
+//     acquisition — covering the executed paths the textual static rule
+//     over- or under-approximates.
 //
 // Also here: ThreadConfinementChecker, the audit-build companion for
 // structures that are *not* mutex-protected because they are confined to a
@@ -118,12 +114,6 @@ class PDPA_CAPABILITY("mutex") Mutex {
     return true;
   }
 
-  // BasicLockable spelling for std::unique_lock / std::condition_variable_any
-  // (the cluster controller's wait loops). Same audit path as Lock/Unlock.
-  void lock() PDPA_ACQUIRE() { Lock(); }
-  void unlock() PDPA_RELEASE() { Unlock(); }
-  bool try_lock() PDPA_TRY_ACQUIRE(true) { return TryLock(); }
-
  private:
 #ifdef PDPA_AUDIT
   void AuditCheckOrder() const {
@@ -136,8 +126,8 @@ class PDPA_CAPABILITY("mutex") Mutex {
   void AuditPush() const { lock_audit::HeldRanks().push_back(rank_); }
   void AuditPop() const {
     std::vector<int>& held = lock_audit::HeldRanks();
-    // Unlock order may differ from reverse-acquisition order (unique_lock
-    // juggling); drop the most recent occurrence of this rank.
+    // Unlock order may differ from reverse-acquisition order (manual
+    // Lock/Unlock); drop the most recent occurrence of this rank.
     for (std::size_t i = held.size(); i > 0; --i) {
       if (held[i - 1] == rank_) {
         held.erase(held.begin() + static_cast<std::ptrdiff_t>(i - 1));
@@ -189,13 +179,6 @@ class ThreadConfinementChecker {
     }
   }
 
-  // Releases the binding so the next AssertConfined re-binds to its caller.
-  // For deliberate ownership transfers with external synchronization (the
-  // cluster engine hands node sinks between shard workers and the
-  // controller across a happens-before edge); not an escape hatch for
-  // genuinely concurrent access.
-  void Handoff() { owner_.store(std::thread::id{}); }
-
  private:
   std::atomic<std::thread::id> owner_{};
 };
@@ -203,7 +186,6 @@ class ThreadConfinementChecker {
 class ThreadConfinementChecker {
  public:
   void AssertConfined(const char*) {}
-  void Handoff() {}
 };
 #endif
 

@@ -181,12 +181,6 @@ class EventLog {
   // unaffected. Does not apply to the raw Emit() escape hatch.
   void set_node_tag(int node) { node_tag_ = node; }
 
-  // Releases the audit-build thread-confinement binding; the next emitter
-  // call re-binds to its calling thread. The cluster engine calls this when
-  // ownership of a node's log moves between a shard worker and the
-  // controller (the engine provides the happens-before edge).
-  void HandoffConfinement() { confinement_.Handoff(); }
-
   // --- Typed emitters -----------------------------------------------------
   // One experiment begins; no timestamp on purpose (always t=0).
   void RunStart(std::string_view policy, std::string_view workload, double load,

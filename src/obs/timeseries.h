@@ -72,11 +72,6 @@ class TimeSeriesSampler {
 
   void Clear();
 
-  // Releases the audit-build thread-confinement binding (see
-  // EventLog::HandoffConfinement); the cluster engine calls this when a
-  // node's sampler moves between a shard worker and the controller.
-  void HandoffConfinement() { confinement_.Handoff(); }
-
  private:
   std::vector<AppPoint> apps_;
   std::vector<MachinePoint> machine_;

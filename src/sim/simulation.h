@@ -60,7 +60,7 @@ class Simulation {
   SimTime RunToCompletion();
 
   // Dispatches exactly the next pending event (the queue must be non-empty),
-  // advancing now() to its time first. The cluster shard loop uses this to
+  // advancing now() to its time first. The cluster event loop uses this to
   // interleave many node simulations one event at a time in a global
   // (time, node) order.
   void Step();

@@ -27,7 +27,6 @@ ClusterCellOutput RunClusterCell(const ExperimentConfig& config, const ClusterCe
   options.make_policy = [&config] { return MakePolicy(config); };
   options.rm_params = config.rm;
   options.seed = config.seed;
-  options.shards = cluster.shards;
   options.max_sim_time = config.max_sim_time;
   options.profiler = config.profiler;
   options.capture_events = cluster.capture_events;

@@ -28,9 +28,6 @@ struct ClusterCellConfig {
   int nodes = 1;
   int cpus_per_node = 60;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
-  // Worker event loops for the sharded engine; 1 = serial reference. The
-  // output contract (cluster.h) makes this a pure wall-clock knob.
-  int shards = 1;
   bool capture_counters = false;
   bool capture_events = false;
   bool capture_timeseries = false;
@@ -49,9 +46,9 @@ struct ClusterCellOutput {
 // be the one BuildJobs would produce for `config` (whose num_cpus must
 // already equal nodes * cpus_per_node, so arrival rates scale with cluster
 // capacity). Trace recording is a single-node feature: config.record_trace
-// must be unset. config.profiler, when set, profiles the controller thread
-// (cluster.barrier_wait / cluster.drain / cluster.place plus the node spans
-// reached from the serial inline loop).
+// must be unset. config.profiler, when set, profiles the run
+// (cluster.barrier_wait / cluster.drain / cluster.place plus the node
+// spans).
 ClusterCellOutput RunClusterCell(const ExperimentConfig& config, const ClusterCellConfig& cluster,
                                  std::shared_ptr<const std::vector<JobSpec>> jobs);
 

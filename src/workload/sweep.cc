@@ -67,7 +67,6 @@ std::vector<SweepCell> ExpandGrid(const SweepGrid& grid) {
             cell.config.seed = seed;
             cell.nodes = grid.nodes;
             cell.cpus_per_node = grid.cpus_per_node;
-            cell.cluster_shards = grid.cluster_shards;
             cell.placement = placement;
             if (cluster) {
               // Arrival rates must scale with the whole cluster's capacity.
@@ -165,7 +164,6 @@ void RunCell(const SweepCell& cell, const SweepOptions& options, int worker, For
       cluster.nodes = cell.nodes;
       cluster.cpus_per_node = cell.cpus_per_node;
       cluster.placement = cell.placement;
-      cluster.shards = cell.cluster_shards;
       cluster.capture_counters = options.capture_counters;
       cluster.capture_events = options.capture_events;
       cluster.capture_timeseries = options.capture_timeseries;

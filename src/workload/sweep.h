@@ -55,8 +55,9 @@ struct SweepGrid {
   int nodes = 1;
   int cpus_per_node = 60;
   std::vector<PlacementPolicy> placements = {PlacementPolicy::kRoundRobin};
-  // Per-cell shard count for the cluster engine (wall-clock only; outputs
-  // are shard-count-invariant).
+  // Ignored: the cluster engine is serial and has no shard count. Kept only
+  // because perfbench/perfbench.cc still assigns it; it goes away with the
+  // next change to the benchmark.
   int cluster_shards = 1;
 };
 
@@ -75,7 +76,6 @@ struct SweepCell {
   // Copied from the grid; nodes == 1 means a single-SMP cell.
   int nodes = 1;
   int cpus_per_node = 60;
-  int cluster_shards = 1;
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
 };
 

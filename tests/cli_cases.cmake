@@ -101,22 +101,25 @@ if(NOT EXISTS ${WORKDIR}/batch_trace.json)
 endif()
 
 # Cluster mode (src/cluster): the flags are documented, bad values are usage
-# errors, incompatible single-node features are rejected, and the smoke runs
-# carry the "<policy>@<placement>" marker.
+# errors, incompatible single-node features are rejected, the smoke runs
+# carry the "<policy>@<placement>" marker, and the engine is serial, so the
+# retired shard-count flags are unknown.
 expect_cli(0 out "--cpus_per_node" ${SIM} --help)
 expect_cli(0 out "--placement rr|mf|ll" ${SIM} --help)
-expect_cli(0 out "--shards" ${SIM} --help)
+expect_cli(2 err "unknown flag --shards" ${SIM} --workload w1 --load 0.6
+           --nodes 3 --cpus_per_node 20 --shards 2)
 expect_cli(2 err "unknown --placement bogus" ${SIM} --nodes 4 --placement bogus)
 expect_cli(2 err "must be >= 1" ${SIM} --nodes 0)
 expect_cli(2 err "single-node only" ${SIM} --nodes 2 --view)
 expect_cli(0 out "policy PDPA@mf, .* peak node ML" ${SIM} --workload w1 --load 0.6
-           --nodes 3 --cpus_per_node 20 --placement mf --shards 2)
-expect_cli(0 out "--cluster_shards" ${BATCH} --help)
+           --nodes 3 --cpus_per_node 20 --placement mf)
 expect_cli(0 out "--placement LIST" ${BATCH} --help)
 expect_cli(2 err "unknown placement bogus" ${BATCH} --nodes 4 --placement bogus)
-expect_cli(2 err "must be >= 1" ${BATCH} --cluster_shards 0)
+expect_cli(2 err "must be >= 1" ${BATCH} --nodes 0)
+expect_cli(2 err "unknown flag --cluster_shards" ${BATCH} --workloads w1 --loads 0.6
+           --nodes 3 --cpus_per_node 20 --cluster_shards 2)
 expect_cli(0 out "PDPA@ll" ${BATCH} --workloads w1 --loads 0.6 --policies pdpa
-           --nodes 3 --cpus_per_node 20 --placement rr,ll --cluster_shards 2)
+           --nodes 3 --cpus_per_node 20 --placement rr,ll)
 
 # Reference mode (DESIGN.md §7): one --reference flag per tool, with or
 # without --nodes. A cluster run can be profiled: the controller-plane

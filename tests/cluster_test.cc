@@ -1,7 +1,7 @@
-// Tests for the sharded cluster engine: placement, admission-driven
-// queueing, node-boundary fragmentation, cutoff semantics — and the core
-// contract that a sharded parallel run is byte-identical to the serial
-// single-loop reference across every captured artifact.
+// Tests for the cluster engine: placement, admission-driven queueing,
+// node-boundary fragmentation, cutoff semantics — and the core contract
+// that the epoch-batched control plane is byte-identical to the
+// one-arrival-per-barrier reference across every captured artifact.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -71,63 +71,36 @@ void ExpectSameBytes(const std::string& expected, const std::string& actual, con
     const std::size_t end = s.find('\n', line_start);
     return s.substr(line_start, end == std::string::npos ? std::string::npos : end - line_start);
   };
-  ADD_FAILURE() << what << " diverges at line " << line << ":\n  serial:  " << line_of(expected)
-                << "\n  sharded: " << line_of(actual);
+  ADD_FAILURE() << what << " diverges at line " << line << ":\n  expected: " << line_of(expected)
+                << "\n  actual:   " << line_of(actual);
 }
 
 // Every output but the counters, which each caller compares in full or
 // through the filter its comparison allows.
-void ExpectIdenticalOutputs(const ClusterResult& serial, const ClusterResult& sharded) {
-  ASSERT_EQ(serial.outcomes.size(), sharded.outcomes.size());
-  for (std::size_t i = 0; i < serial.outcomes.size(); ++i) {
-    EXPECT_EQ(serial.outcomes[i].id, sharded.outcomes[i].id) << "outcome " << i;
-    EXPECT_EQ(serial.outcomes[i].start, sharded.outcomes[i].start) << "outcome " << i;
-    EXPECT_EQ(serial.outcomes[i].finish, sharded.outcomes[i].finish) << "outcome " << i;
+void ExpectIdenticalOutputs(const ClusterResult& expected, const ClusterResult& actual) {
+  ASSERT_EQ(expected.outcomes.size(), actual.outcomes.size());
+  for (std::size_t i = 0; i < expected.outcomes.size(); ++i) {
+    EXPECT_EQ(expected.outcomes[i].id, actual.outcomes[i].id) << "outcome " << i;
+    EXPECT_EQ(expected.outcomes[i].start, actual.outcomes[i].start) << "outcome " << i;
+    EXPECT_EQ(expected.outcomes[i].finish, actual.outcomes[i].finish) << "outcome " << i;
   }
-  EXPECT_EQ(serial.outcome_nodes, sharded.outcome_nodes);
-  EXPECT_EQ(serial.completed, sharded.completed);
-  EXPECT_EQ(serial.end_time, sharded.end_time);
-  EXPECT_EQ(serial.max_node_running, sharded.max_node_running);
-  EXPECT_EQ(serial.total_reallocations, sharded.total_reallocations);
-  EXPECT_EQ(serial.alloc_integral_us, sharded.alloc_integral_us);
-  ExpectSameBytes(serial.events_jsonl, sharded.events_jsonl, "events_jsonl");
-  ExpectSameBytes(serial.timeseries_csv, sharded.timeseries_csv, "timeseries_csv");
+  EXPECT_EQ(expected.outcome_nodes, actual.outcome_nodes);
+  EXPECT_EQ(expected.completed, actual.completed);
+  EXPECT_EQ(expected.end_time, actual.end_time);
+  EXPECT_EQ(expected.max_node_running, actual.max_node_running);
+  EXPECT_EQ(expected.total_reallocations, actual.total_reallocations);
+  EXPECT_EQ(expected.alloc_integral_us, actual.alloc_integral_us);
+  ExpectSameBytes(expected.events_jsonl, actual.events_jsonl, "events_jsonl");
+  ExpectSameBytes(expected.timeseries_csv, actual.timeseries_csv, "timeseries_csv");
 }
 
-void ExpectIdenticalResults(const ClusterResult& serial, const ClusterResult& sharded) {
-  ExpectIdenticalOutputs(serial, sharded);
-  ExpectSameBytes(serial.counters.ToString(), sharded.counters.ToString(), "counters");
+void ExpectIdenticalResults(const ClusterResult& expected, const ClusterResult& actual) {
+  ExpectIdenticalOutputs(expected, actual);
+  ExpectSameBytes(expected.counters.ToString(), actual.counters.ToString(), "counters");
 }
 
-// The tentpole contract: shard count must not change a single output byte.
-TEST(ClusterShardingTest, ShardedRunIsByteIdenticalToSerial) {
-  const std::vector<JobSpec> jobs = MakeJobs(24, 6, 700 * kMillisecond);
-  const PlacementPolicy placements[] = {PlacementPolicy::kRoundRobin,
-                                        PlacementPolicy::kMostFreeCpus,
-                                        PlacementPolicy::kLeastLoaded};
-  for (const PlacementPolicy placement : placements) {
-    for (const std::uint64_t seed : {1ULL, 7ULL}) {
-      ClusterOptions options = BaseOptions(6, 8);
-      options.placement = placement;
-      options.seed = seed;
-      options.shards = 1;
-      const ClusterResult serial = RunCluster(jobs, options);
-      ASSERT_TRUE(serial.completed);
-      ASSERT_EQ(serial.outcomes.size(), jobs.size());
-      for (const int shards : {2, 3, 4}) {
-        options.shards = shards;
-        const ClusterResult sharded = RunCluster(jobs, options);
-        SCOPED_TRACE(std::string(PlacementPolicyName(placement)) + " seed " +
-                     std::to_string(seed) + " shards " + std::to_string(shards));
-        EXPECT_EQ(sharded.shards_used, shards);
-        ExpectIdenticalResults(serial, sharded);
-      }
-    }
-  }
-}
-
-// Admission flips (PDPA ML holds) are the other visible-event kind; make
-// sure a hold-heavy run stays byte-identical too.
+// Admission flips (PDPA ML holds) are the visible-event kind besides
+// completions; a hold-heavy run must repeat byte for byte, counters too.
 TEST(ClusterShardingTest, PdpaAdmissionFlipsStayDeterministic) {
   const std::vector<JobSpec> jobs = MakeJobs(12, 8, 400 * kMillisecond);
   ClusterOptions options = BaseOptions(3, 8);
@@ -135,23 +108,9 @@ TEST(ClusterShardingTest, PdpaAdmissionFlipsStayDeterministic) {
     return std::make_unique<PdpaPolicy>(PdpaParams{}, PdpaMlParams{});
   };
   options.placement = PlacementPolicy::kLeastLoaded;
-  options.shards = 1;
-  const ClusterResult serial = RunCluster(jobs, options);
-  ASSERT_TRUE(serial.completed);
-  for (const int shards : {2, 3}) {
-    options.shards = shards;
-    const ClusterResult sharded = RunCluster(jobs, options);
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ExpectIdenticalResults(serial, sharded);
-  }
-}
-
-TEST(ClusterShardingTest, ShardCountIsClampedToNodes) {
-  ClusterOptions options = BaseOptions(2, 4);
-  options.shards = 16;
-  const ClusterResult result = RunCluster(MakeJobs(4, 2), options);
-  EXPECT_EQ(result.shards_used, 2);
-  EXPECT_TRUE(result.completed);
+  const ClusterResult first = RunCluster(jobs, options);
+  ASSERT_TRUE(first.completed);
+  ExpectIdenticalResults(first, RunCluster(jobs, options));
 }
 
 TEST(ClusterTest, RoundRobinSpreadsJobsAcrossNodes) {
@@ -298,10 +257,9 @@ void ExpectIdenticalToReference(const ClusterResult& reference, const ClusterRes
                   WithoutReferenceVariants(batched.counters).ToString(), "filtered counters");
 }
 
-// The contract of the epoch-batched control plane: batched runs — serial
-// and sharded — reproduce reference mode's one-arrival-per-barrier protocol
-// byte for byte (modulo WithoutReferenceVariants) for every placement
-// policy.
+// The contract of the epoch-batched control plane: batched runs reproduce
+// reference mode's one-arrival-per-barrier protocol byte for byte (modulo
+// WithoutReferenceVariants) for every placement policy.
 TEST(ClusterBatchingTest, BatchedProtocolMatchesReferenceAcrossShardsAndPlacements) {
   const std::vector<JobSpec> jobs = MakeJobs(24, 6, 700 * kMillisecond);
   for (const PlacementPolicy placement :
@@ -310,18 +268,13 @@ TEST(ClusterBatchingTest, BatchedProtocolMatchesReferenceAcrossShardsAndPlacemen
     ClusterOptions options = BaseOptions(6, 8);
     options.placement = placement;
     options.rm_params.reference = true;
-    options.shards = 1;
     const ClusterResult reference = RunCluster(jobs, options);
     ASSERT_TRUE(reference.completed);
     EXPECT_EQ(CounterValue(reference.counters, "cluster.batched_arrivals"), 0);
     options.rm_params.reference = false;
-    for (const int shards : {1, 2, 5}) {
-      options.shards = shards;
-      const ClusterResult batched = RunCluster(jobs, options);
-      SCOPED_TRACE(std::string(PlacementPolicyName(placement)) + " shards " +
-                   std::to_string(shards));
-      ExpectIdenticalToReference(reference, batched);
-    }
+    const ClusterResult batched = RunCluster(jobs, options);
+    SCOPED_TRACE(PlacementPolicyName(placement));
+    ExpectIdenticalToReference(reference, batched);
   }
 }
 
@@ -349,38 +302,14 @@ TEST(ClusterBatchingTest, BatchingAloneChangesOnlyTheBatchCounters) {
       const ClusterResult per_arrival = RunClusterPerArrival(jobs, options);
       ASSERT_TRUE(per_arrival.completed);
       EXPECT_EQ(CounterValue(per_arrival.counters, "cluster.batched_arrivals"), 0);
-      for (const int shards : {1, 2, 5}) {
-        options.shards = shards;
-        const ClusterResult batched = RunCluster(jobs, options);
-        SCOPED_TRACE(std::string(PlacementPolicyName(placement)) + " shards " +
-                     std::to_string(shards) + (capture ? " capture" : " headless"));
-        EXPECT_GT(CounterValue(batched.counters, "rm.ticks_elided"), 0);
-        ExpectIdenticalOutputs(per_arrival, batched);
-        ExpectSameBytes(without_batch_counters(per_arrival.counters),
-                        without_batch_counters(batched.counters), "counters");
-      }
+      const ClusterResult batched = RunCluster(jobs, options);
+      SCOPED_TRACE(std::string(PlacementPolicyName(placement)) +
+                   (capture ? " capture" : " headless"));
+      EXPECT_GT(CounterValue(batched.counters, "rm.ticks_elided"), 0);
+      ExpectIdenticalOutputs(per_arrival, batched);
+      ExpectSameBytes(without_batch_counters(per_arrival.counters),
+                      without_batch_counters(batched.counters), "counters");
     }
-  }
-}
-
-// Batch counters are themselves deterministic across shard counts (drains
-// and arrival cycles happen in the same global time order either way), and
-// a same-time arrival burst is one cycle in both protocols.
-TEST(ClusterBatchingTest, BatchCountersAreShardCountInvariant) {
-  const std::vector<JobSpec> jobs = MakeJobs(24, 6, 300 * kMillisecond);
-  ClusterOptions options = BaseOptions(6, 8);
-  options.shards = 1;
-  const ClusterResult serial = RunCluster(jobs, options);
-  const long long cycles = CounterValue(serial.counters, "cluster.arrival_batches");
-  const long long piggybacked = CounterValue(serial.counters, "cluster.batched_arrivals");
-  EXPECT_GT(cycles, 0);
-  EXPECT_LE(cycles, 24);
-  for (const int shards : {2, 5}) {
-    options.shards = shards;
-    const ClusterResult sharded = RunCluster(jobs, options);
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    EXPECT_EQ(CounterValue(sharded.counters, "cluster.arrival_batches"), cycles);
-    EXPECT_EQ(CounterValue(sharded.counters, "cluster.batched_arrivals"), piggybacked);
   }
 }
 
@@ -403,25 +332,7 @@ TEST(ClusterBatchingTest, ArrivalExactlyAtCompletionBatchBoundary) {
   const ClusterResult reference = RunCluster(jobs, options);
   ASSERT_TRUE(reference.completed);
   options.rm_params.reference = false;
-  for (const int shards : {1, 2}) {
-    options.shards = shards;
-    const ClusterResult batched = RunCluster(jobs, options);
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ExpectIdenticalToReference(reference, batched);
-  }
-}
-
-// More shards than nodes (clamped) with batching on still matches the
-// reference protocol.
-TEST(ClusterBatchingTest, MoreShardsThanNodesMatchesReference) {
-  const std::vector<JobSpec> jobs = MakeJobs(8, 4, 500 * kMillisecond);
-  ClusterOptions options = BaseOptions(2, 8);
-  options.rm_params.reference = true;
-  const ClusterResult reference = RunCluster(jobs, options);
-  options.rm_params.reference = false;
-  options.shards = 5;
   const ClusterResult batched = RunCluster(jobs, options);
-  EXPECT_EQ(batched.shards_used, 2);
   ExpectIdenticalToReference(reference, batched);
 }
 
@@ -454,12 +365,8 @@ TEST(ClusterBatchingTest, CutoffMatchesReferenceProtocol) {
   const ClusterResult reference = RunCluster(jobs, options);
   EXPECT_FALSE(reference.completed);
   options.rm_params.reference = false;
-  for (const int shards : {1, 2}) {
-    options.shards = shards;
-    const ClusterResult batched = RunCluster(jobs, options);
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    ExpectIdenticalToReference(reference, batched);
-  }
+  const ClusterResult batched = RunCluster(jobs, options);
+  ExpectIdenticalToReference(reference, batched);
 }
 
 // --- RM boundary batching (rm_params.boundary_batch) ---------------------

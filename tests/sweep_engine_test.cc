@@ -107,9 +107,9 @@ TEST(ExpandGridTest, ClusterGridAddsPlacementAxis) {
   EXPECT_EQ(ExpandGrid(grid).size(), 2u);
 }
 
-// Cluster cells run through the sharded engine: the whole sweep must stay
-// byte-identical across worker counts AND across engine shard counts, and
-// the policy column must carry the placement suffix.
+// Cluster cells run on sweep worker threads: the whole sweep must stay
+// byte-identical across worker counts, and the policy column must carry
+// the placement suffix.
 TEST(SweepEngineTest, ClusterSweepMatchesAcrossWorkersAndShards) {
   SweepGrid grid;
   grid.workloads = {WorkloadId::kW1};
@@ -127,7 +127,6 @@ TEST(SweepEngineTest, ClusterSweepMatchesAcrossWorkersAndShards) {
   parallel.jobs = 4;
 
   const std::vector<SweepCellResult> a = RunSweep(grid, serial);
-  grid.cluster_shards = 2;  // sharded engine, parallel sweep workers
   const std::vector<SweepCellResult> b = RunSweep(grid, parallel);
   ASSERT_EQ(a.size(), b.size());
 

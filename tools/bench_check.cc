@@ -96,8 +96,8 @@ bool EndsWith(const std::string& name, const char* suffix) {
 }
 
 // Hardware-dependent or run-shape metrics: reported, never compared.
-// skipped_single_cpu is a run-shape fact about the machine (sweep_bench and
-// cluster_bench omit their parallel A/B on 1-CPU runners), so it can never
+// skipped_single_cpu is a run-shape fact about the machine (sweep_bench
+// omits its parallel A/B on 1-CPU runners), so it can never
 // "regress"; jobs/shards/threads are the worker counts those benches sized
 // to the runner at hand.
 bool IsInformational(const std::string& name) {

@@ -13,9 +13,9 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "simulation time is the only clock (sanctioned host clock: steady_clock "
        "in src/obs/prof.cc only)",
        "Every headline result is a byte-identity contract (elided == exact, "
-       "forked == cold, sharded == serial). A single wall-clock read or rand() "
-       "call on a sim path makes outputs run-dependent and turns those golden "
-       "comparisons into flakes. Simulation time (SimTime) is the only clock; "
+       "forked == cold, batched == per-arrival). A single wall-clock read or "
+       "rand() call on a sim path makes outputs run-dependent and turns those "
+       "golden comparisons into flakes. Simulation time (SimTime) is the only clock; "
        "the one sanctioned host-clock read is steady_clock in src/obs/prof.cc, "
        "the self-profiler's single translation unit.",
        "Per-line `// lint: wall-clock-ok (reason)` for dev-tool paths that "
@@ -83,8 +83,8 @@ const std::vector<RuleInfo>& RuleCatalog() {
        "must acquire in strictly increasing rank. This rule checks it "
        "statically from the phase-1 mutex inventory and lock-site table; the "
        "-DPDPA_AUDIT build checks the same hierarchy at runtime (thread-local "
-       "held-rank stack in src/common/mutex.h) for the std::unique_lock and "
-       "condition-variable paths token patterns cannot see.",
+       "held-rank stack in src/common/mutex.h) on every executed path, "
+       "including manual Lock()/Unlock() pairs token patterns cannot see.",
        "Assign ranks consistent with the acquisition order (table in DESIGN.md "
        "§8) — the annotation is the fix, not a suppression. For a site the "
        "textual held-set over-approximates (guard released early on another "

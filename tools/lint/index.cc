@@ -121,8 +121,7 @@ void IndexMutexes(const SourceFile& file, RepoIndex* index) {
 void DeriveSinks(const SourceFile& file, RepoIndex* index) {
   static const std::set<std::string>* kSinkClasses = new std::set<std::string>{
       "JsonObjectWriter", "LegacyJsonObjectWriter", "EventLog"};
-  static const std::set<std::string>* kExcluded = new std::set<std::string>{
-      "Reset", "Flush", "Handoff", "HandoffConfinement"};
+  static const std::set<std::string>* kExcluded = new std::set<std::string>{"Reset", "Flush"};
   const std::vector<Token>& tokens = file.scan.tokens;
   if (file.rel_path == "src/common/fmt.h") {
     for (std::size_t i = 0; i + 1 < tokens.size(); ++i) {

@@ -49,8 +49,6 @@ cluster (nodes > 1 runs every cell on a cluster of SMPs):
   --placement LIST         comma list of rr,mf,ll placement policies,
                            swept as a grid axis (default rr); the CSV
                            policy column reads "<policy>@<placement>"
-  --cluster_shards N       worker event loops per cluster cell (default 1;
-                           outputs are shard-count invariant)
 
 execution:
   --jobs N                 worker threads (default: hardware concurrency)
@@ -168,9 +166,8 @@ int Run(int argc, char** argv) {
   grid.base.rm.reference = flags.GetBool("reference", false);
   grid.nodes = flags.GetInt("nodes", 1);
   grid.cpus_per_node = flags.GetInt("cpus_per_node", 60);
-  grid.cluster_shards = flags.GetInt("cluster_shards", 1);
-  if (grid.nodes < 1 || grid.cpus_per_node < 1 || grid.cluster_shards < 1) {
-    std::fprintf(stderr, "--nodes, --cpus_per_node and --cluster_shards must be >= 1\n");
+  if (grid.nodes < 1 || grid.cpus_per_node < 1) {
+    std::fprintf(stderr, "--nodes and --cpus_per_node must be >= 1\n");
     return 2;
   }
   grid.placements.clear();

@@ -54,8 +54,6 @@ scheduler flags:
   --cpus_per_node N        processors per cluster node (default 60)
   --placement rr|mf|ll     cluster placement policy: round-robin, most-free,
                            least-loaded (default rr)
-  --shards N               worker event loops for the cluster engine
-                           (default 1; outputs are shard-count invariant)
   --target-eff F           PDPA target efficiency (default 0.7)
   --high-eff F             PDPA high efficiency (default 0.9)
   --step N                 PDPA allocation step (default 4)
@@ -161,15 +159,14 @@ int Run(int argc, char** argv) {
   config.num_cpus = flags.GetInt("cpus", 60);
   const int nodes = flags.GetInt("nodes", 1);
   const int cpus_per_node = flags.GetInt("cpus_per_node", 60);
-  const int shards = flags.GetInt("shards", 1);
   const std::string placement_name = flags.GetString("placement", "rr");
   PlacementPolicy placement = PlacementPolicy::kRoundRobin;
   if (!ParsePlacementPolicy(placement_name, &placement)) {
     std::fprintf(stderr, "unknown --placement %s\n", placement_name.c_str());
     return 2;
   }
-  if (nodes < 1 || cpus_per_node < 1 || shards < 1) {
-    std::fprintf(stderr, "--nodes, --cpus_per_node and --shards must be >= 1\n");
+  if (nodes < 1 || cpus_per_node < 1) {
+    std::fprintf(stderr, "--nodes and --cpus_per_node must be >= 1\n");
     return 2;
   }
   if (nodes > 1) {
@@ -244,10 +241,10 @@ int Run(int argc, char** argv) {
   }
 
   if (nodes > 1) {
-    // Cluster mode: per-node simulations via the sharded engine
+    // Cluster mode: per-node simulations via the cluster engine
     // (src/cluster). Trace/queue-order features are wired through a single
     // machine's RM and stay single-node only; --prof profiles the
-    // controller thread (plus the node spans when --shards 1).
+    // controller and node spans.
     if (config.record_trace || !pcf_out.empty() || want_ml_timeline || !trace_out.empty() ||
         config.queue_order != QueueOrder::kFcfs) {
       std::fprintf(stderr,
@@ -263,7 +260,6 @@ int Run(int argc, char** argv) {
     cluster.nodes = nodes;
     cluster.cpus_per_node = cpus_per_node;
     cluster.placement = placement;
-    cluster.shards = shards;
     cluster.capture_counters = want_counters;
     cluster.capture_events = !events_out.empty();
     cluster.capture_timeseries = !timeseries_out.empty();
@@ -272,7 +268,7 @@ int Run(int argc, char** argv) {
     std::printf("policy %s, %d jobs, makespan %.1f s, peak node ML %d%s\n",
                 result.policy_name.c_str(), result.metrics.jobs, result.metrics.makespan_s,
                 result.max_ml, result.completed ? "" : "  [CUTOFF HIT]");
-    std::printf("cluster: %d nodes x %d cpus, %d shard(s)\n", nodes, cpus_per_node, shards);
+    std::printf("cluster: %d nodes x %d cpus\n", nodes, cpus_per_node);
     std::printf("%-10s %6s %12s %12s %10s %10s\n", "class", "jobs", "response(s)", "exec(s)",
                 "wait(s)", "avg cpus");
     for (const auto& [app_class, metrics] : result.metrics.per_class) {
