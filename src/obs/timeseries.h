@@ -89,16 +89,6 @@ class TimeSeriesSampler {
 void WriteClusterTimeSeriesCsv(const std::vector<const TimeSeriesSampler*>& nodes,
                                std::ostream& out);
 
-namespace internal {
-
-// The pre-fast-path CSV writer (per-row StrFormat temporaries, per-row
-// ostream inserts), kept only so the golden byte-identity fixture and
-// serialization_bench can A/B against WriteCsv; production code must not
-// use it.
-void WriteTimeSeriesCsvLegacy(const TimeSeriesSampler& series, std::ostream& out);
-
-}  // namespace internal
-
 }  // namespace pdpa
 
 #endif  // SRC_OBS_TIMESERIES_H_

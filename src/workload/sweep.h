@@ -14,7 +14,8 @@
 // The seeds axis is the replication dimension: the same (workload, load,
 // policy) cell re-run under different arrival-trace seeds. SweepCsv emits
 // one row per (replica, class) plus per-class mean/p50/p95 aggregate rows
-// across the replicas whenever more than one seed is swept.
+// across the replicas whenever more than one seed is swept; its bytes are
+// pinned by the committed golden tests/golden/sweep_w1.csv.
 //
 // Eligible cells fork from their group's shared-prefix snapshot (DESIGN.md
 // §12); reference mode (grid.base.rm.reference) runs every cell cold.
@@ -134,10 +135,6 @@ struct SweepOptions {
   // When set, receives what the fork machinery did (written after the sweep
   // completes, from the calling thread).
   ForkStats* fork_stats = nullptr;
-  // Test-only: capture each cell's events/time-series through the retained
-  // pre-fast-path serializers (see DESIGN.md §9) so golden fixtures and
-  // benches can compare recordings byte for byte against the fast path.
-  bool legacy_serialization_for_test = false;
 };
 
 namespace internal {
@@ -227,17 +224,6 @@ CellAggregate AggregateSeeds(const std::vector<SweepCellResult>& results, std::s
 // default so existing pinned outputs stay byte-identical.
 void SweepCsv(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group,
               std::ostream& out, bool slowdown_columns = false);
-
-namespace internal {
-
-// The pre-fast-path sweep CSV writer (per-row StrFormat temporaries,
-// per-row ostream inserts), kept only so the golden byte-identity fixture
-// and serialization_bench can A/B against SweepCsv; production code must
-// not use it.
-void SweepCsvLegacy(const std::vector<SweepCellResult>& results, std::size_t seeds_per_group,
-                    std::ostream& out);
-
-}  // namespace internal
 
 }  // namespace pdpa
 

@@ -34,13 +34,13 @@ set(BASE ${FIXTURES}/baseline.json)
 # Identical files compare clean.
 expect_check(0 out "bench_check: ok" ${BASE} ${BASE})
 
-# Hardware-dependent drift (wall seconds, rates, jobs, shards, threads) is
+# Hardware-dependent drift (wall seconds, rates, jobs, the host record) is
 # informational; a ratio within tolerance passes; new metrics are reported,
 # not failed.
 expect_check(0 out "bench_check: ok" ${BASE} ${FIXTURES}/fresh_ok.json)
 expect_check(0 out "info serial_wall_s" ${BASE} ${FIXTURES}/fresh_ok.json)
-expect_check(0 out "info shards" ${BASE} ${FIXTURES}/fresh_ok.json)
-expect_check(0 out "info threads" ${BASE} ${FIXTURES}/fresh_ok.json)
+expect_check(0 out "info compiler" ${BASE} ${FIXTURES}/fresh_ok.json)
+expect_check(0 out "info build_type" ${BASE} ${FIXTURES}/fresh_ok.json)
 expect_check(0 out "new  extra_metric" ${BASE} ${FIXTURES}/fresh_ok.json)
 
 # Cluster throughput is a rate (hardware-dependent: informational), but the

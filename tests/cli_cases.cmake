@@ -192,7 +192,7 @@ endforeach()
 
 # The BENCH_*.json tools: --help prints usage without running, and an
 # unknown flag or a malformed value is a usage error before any work.
-foreach(bench cluster_bench hotpath_bench serialization_bench sweep_bench prof_bench)
+foreach(bench cluster_bench hotpath_bench sweep_bench prof_bench)
   expect_cli(0 out "usage: ${bench}" ${BENCH_DIR}/${bench} --help)
   expect_cli(2 err "unknown flag --bogus" ${BENCH_DIR}/${bench} --bogus)
   expect_cli(2 err "malformed flag value" ${BENCH_DIR}/${bench} --repeat not-a-number)

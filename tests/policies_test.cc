@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstdint>
 #include <map>
+#include <string_view>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -16,6 +17,7 @@
 #include "src/rm/equipartition.h"
 #include "src/rm/irix.h"
 #include "src/rm/mccann_dynamic.h"
+#include "tests/golden.h"
 
 namespace pdpa {
 namespace {
@@ -432,20 +434,22 @@ TEST(PdpaPolicyTest, AdmissionRequiresFreeCpu) {
 // per IRIX tick; a from-scratch Equal_efficiency reallocation on every call),
 // so any faster path must reproduce them bit for bit.
 
-// FNV-1a over 64-bit words.
+// FNV-1a over 64-bit words, fed least significant byte first.
 class Digest {
  public:
   void Add(std::uint64_t word) {
+    char bytes[8];
     for (int i = 0; i < 8; ++i) {
-      hash_ = (hash_ ^ ((word >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+      bytes[i] = static_cast<char>((word >> (8 * i)) & 0xFF);
     }
+    hash_ = Fnv1a(std::string_view(bytes, sizeof(bytes)), hash_);
   }
   void Add(double value) { Add(std::bit_cast<std::uint64_t>(value)); }
   void Add(int value) { Add(static_cast<std::uint64_t>(static_cast<std::int64_t>(value))); }
   std::uint64_t value() const { return hash_; }
 
  private:
-  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+  std::uint64_t hash_ = kFnvOffset;
 };
 
 struct IrixGolden {

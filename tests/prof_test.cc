@@ -4,7 +4,8 @@
 // Pins the four contracts the profiling layer is built on:
 //   1. profiler-off byte-identity: enabling capture_prof must not change a
 //      single byte of the events / time-series / sweep-CSV outputs, and the
-//      default SweepCsv stays byte-identical to the retained legacy writer;
+//      default SweepCsv of a profiled sweep stays byte-identical to the
+//      committed golden;
 //   2. trace-export validity: every record the TraceEventWriter emits is a
 //      flat JSON object (plus the single nested "args" object the format
 //      allows), round-trippable through ParseFlatJson, with the fields
@@ -29,6 +30,7 @@
 #include "src/rm/equipartition.h"
 #include "src/workload/experiment.h"
 #include "src/workload/sweep.h"
+#include "tests/golden.h"
 
 namespace pdpa {
 namespace {
@@ -74,18 +76,13 @@ TEST(ProfilerIdentityTest, CaptureProfDoesNotChangeAnyOutputByte) {
   EXPECT_EQ(CsvOf(base, grid.seeds.size()), CsvOf(profiled, grid.seeds.size()));
 }
 
-TEST(ProfilerIdentityTest, DefaultSweepCsvStillMatchesLegacyWriter) {
-  const SweepGrid grid = SmallGrid();
+TEST(ProfilerIdentityTest, DefaultSweepCsvStillMatchesGolden) {
+  const SweepGrid grid = SweepGoldenGrid();
   SweepOptions options;
   options.jobs = 1;
   options.capture_prof = true;  // on, to prove it does not leak into the CSV
   const std::vector<SweepCellResult> results = RunSweep(grid, options);
-
-  std::ostringstream fast, legacy;
-  SweepCsv(results, grid.seeds.size(), fast);
-  internal::SweepCsvLegacy(results, grid.seeds.size(), legacy);
-  ASSERT_FALSE(fast.str().empty());
-  EXPECT_EQ(fast.str(), legacy.str());
+  EXPECT_TRUE(MatchesGolden(CsvOf(results, grid.seeds.size()), kSweepCsvGolden));
 }
 
 TEST(ProfilerIdentityTest, SlowdownColumnsExtendEveryRowByExactlyThreeCells) {

@@ -1,23 +1,29 @@
-// Serialization fast-path tests (DESIGN.md §9).
+// Serialization fast-path tests (DESIGN.md §9): the byte contract of every
+// sink and the costs that make the fast path fast.
 //
-// Pins the three layers the zero-allocation path is built from:
 //   1. the fmt.h number formatters are byte-identical to the snprintf
 //      contracts the sinks have always used ("%lld"/"%llu"/"%.Ng"/"%.Nf"),
 //      asserted over an exhaustive-edge + deterministic-random corpus;
 //   2. the JSON escape table round-trips every byte through
 //      JsonEscape/ParseFlatJson, including the \u00XX control-range;
-//   3. every converted sink (event JSONL, time-series CSV, sweep CSV,
-//      Paraver .prv) produces byte-identical output to the retained legacy
-//      serializers on live simulation data.
+//   3. every sink (event JSONL, time-series CSV, sweep CSV, Paraver .prv)
+//      reproduces the committed goldens in tests/golden/ on live simulation
+//      data (see tests/golden.h for the update workflow);
+//   4. steady-state event emission makes no heap allocation, and every sink
+//      hands its stream one write per 64 KiB buffer.
 // Plus BufWriter unit coverage (spill, oversized record, dtor flush).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <new>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
@@ -31,9 +37,46 @@
 #include "src/trace/trace_recorder.h"
 #include "src/workload/experiment.h"
 #include "src/workload/sweep.h"
+#include "tests/golden.h"
+
+// Heap allocations are counted by replacing the global operator new; the
+// counter only runs inside an AllocationWindow, so gtest's own bookkeeping
+// outside the measured code is never counted.
+namespace {
+std::atomic<bool> g_counting{false};
+std::atomic<long long> g_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t size) {
+  if (g_counting.load(std::memory_order_relaxed)) {
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(size == 0 ? 1 : size)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+// Out of line, so the compiler pairs call sites with operator new rather
+// than with the free() inside.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t /*size*/) noexcept { std::free(p); }
 
 namespace pdpa {
 namespace {
+
+// Counts the heap allocations made between construction and Count().
+class AllocationWindow {
+ public:
+  AllocationWindow() {
+    g_allocations.store(0);
+    g_counting.store(true);
+  }
+  ~AllocationWindow() { g_counting.store(false); }
+  long long Count() const {
+    g_counting.store(false);
+    return g_allocations.load();
+  }
+};
 
 // ------------------------------------------------------------ fmt golden
 
@@ -219,18 +262,16 @@ TEST(JsonEscapeTest, JsonEscapeToAppendsIdenticalBytes) {
   EXPECT_EQ(appended, "prefix:" + JsonEscape(raw));
 }
 
-TEST(JsonEscapeTest, FastAndLegacyWritersAgreeOnEscapes) {
+TEST(JsonEscapeTest, WriterBytesMatchGolden) {
   std::string raw;
   for (int c = 1; c < 0x80; ++c) {
     raw.push_back(static_cast<char>(c));
   }
-  std::string fast;
-  JsonObjectWriter writer(&fast);
+  std::string line;
+  JsonObjectWriter writer(&line);
   writer.Field("s", raw).Field("n", 42).Field("d", 1.0 / 3.0).Field("b", true);
   writer.Finish();
-  internal::LegacyJsonObjectWriter legacy;
-  legacy.Field("s", raw).Field("n", 42).Field("d", 1.0 / 3.0).Field("b", true);
-  EXPECT_EQ(fast, legacy.Finish());
+  EXPECT_TRUE(MatchesGolden(line, "json_writer_escapes.json"));
 }
 
 // ------------------------------------------------------------- BufWriter
@@ -282,49 +323,35 @@ TEST(BufWriterTest, NullSinkDiscardsQuietly) {
   EXPECT_EQ(writer.bytes_written(), 0u);
 }
 
-// -------------------------------------------- end-to-end byte identity
 
-struct CapturedRun {
-  std::string events;
-  std::string timeseries_fast;
-  std::string timeseries_legacy;
-};
+// ------------------------------------------------ end-to-end byte goldens
 
-CapturedRun RunCaptured(PolicyKind policy, bool legacy_events) {
+// The W1 @ 1.0 s42 recordings each sink writes on a live run, pinned by
+// length + FNV-1a (about 0.5 MB of events and 1.1 MB of time-series).
+std::string LiveRunDigests(PolicyKind policy) {
   ExperimentConfig config;
   config.workload = WorkloadId::kW1;
   config.load = 1.0;
   config.seed = 42;
   config.policy = policy;
 
-  CapturedRun run;
   std::ostringstream events_stream;
   EventLog events(&events_stream);
-  events.set_legacy_serialization_for_test(legacy_events);
   TimeSeriesSampler timeseries;
   config.event_log = &events;
   config.timeseries = &timeseries;
   (void)RunExperiment(config);
   events.Flush();
-  run.events = events_stream.str();
-
-  std::ostringstream fast_csv, legacy_csv;
-  timeseries.WriteCsv(fast_csv);
-  internal::WriteTimeSeriesCsvLegacy(timeseries, legacy_csv);
-  run.timeseries_fast = fast_csv.str();
-  run.timeseries_legacy = legacy_csv.str();
-  return run;
+  std::ostringstream csv;
+  timeseries.WriteCsv(csv);
+  return DigestLine("events", events_stream.str()) + DigestLine("timeseries", csv.str());
 }
 
 class SerializationGoldenTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(SerializationGoldenTest, LiveRunEventsAndTimeseriesAreByteIdentical) {
-  const CapturedRun fast = RunCaptured(GetParam(), /*legacy_events=*/false);
-  const CapturedRun legacy = RunCaptured(GetParam(), /*legacy_events=*/true);
-  ASSERT_FALSE(fast.events.empty());
-  EXPECT_EQ(fast.events, legacy.events);
-  EXPECT_EQ(fast.timeseries_fast, fast.timeseries_legacy);
-  EXPECT_EQ(fast.timeseries_fast, legacy.timeseries_fast);
+  const std::string name = StrFormat("live_w1_1.00_%s_s42.fnv", PolicyKindName(GetParam()));
+  EXPECT_TRUE(MatchesGolden(LiveRunDigests(GetParam()), name));
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPolicies, SerializationGoldenTest,
@@ -333,39 +360,30 @@ INSTANTIATE_TEST_SUITE_P(AllPolicies, SerializationGoldenTest,
                            return std::string(PolicyKindName(param_info.param));
                          });
 
-TEST(SerializationGoldenTest, SweepCsvMatchesLegacyIncludingAggregates) {
-  SweepGrid grid;
-  grid.workloads = {WorkloadId::kW1};
-  grid.loads = {0.6, 1.0};
-  grid.policies = {PolicyKind::kEquipartition, PolicyKind::kPdpa};
-  grid.seeds = {42, 43, 44};
-
+TEST(SerializationGoldenTest, SweepCsvMatchesGoldenIncludingAggregates) {
+  const SweepGrid grid = SweepGoldenGrid();
   SweepOptions capture;
   capture.jobs = 1;
   capture.capture_events = true;
   capture.capture_timeseries = true;
-  const std::vector<SweepCellResult> fast = RunSweep(grid, capture);
-  SweepOptions capture_legacy = capture;
-  capture_legacy.legacy_serialization_for_test = true;
-  const std::vector<SweepCellResult> legacy = RunSweep(grid, capture_legacy);
+  const std::vector<SweepCellResult> results = RunSweep(grid, capture);
 
-  ASSERT_EQ(fast.size(), legacy.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    ASSERT_FALSE(fast[i].events_jsonl.empty());
-    EXPECT_EQ(fast[i].events_jsonl, legacy[i].events_jsonl) << "cell " << i;
-    EXPECT_EQ(fast[i].timeseries_csv, legacy[i].timeseries_csv) << "cell " << i;
+  std::string digests;
+  for (const SweepCellResult& r : results) {
+    ASSERT_FALSE(r.events_jsonl.empty()) << r.cell.name;
+    digests += DigestLine(r.cell.name + ".events", r.events_jsonl);
+    digests += DigestLine(r.cell.name + ".timeseries", r.timeseries_csv);
   }
+  EXPECT_TRUE(MatchesGolden(digests, "sweep_w1_cells.fnv"));
 
-  // The replica rows and the mean/p50/p95 aggregate rows must both survive
-  // the rewrite byte for byte (3 seeds ensures a non-trivial percentile).
-  std::ostringstream fast_csv, legacy_csv;
-  SweepCsv(fast, grid.seeds.size(), fast_csv);
-  internal::SweepCsvLegacy(fast, grid.seeds.size(), legacy_csv);
-  ASSERT_FALSE(fast_csv.str().empty());
-  EXPECT_EQ(fast_csv.str(), legacy_csv.str());
+  // The replica rows and the mean/p50/p95 aggregate rows (3 seeds make the
+  // percentiles non-trivial), committed byte for byte.
+  std::ostringstream csv;
+  SweepCsv(results, grid.seeds.size(), csv);
+  EXPECT_TRUE(MatchesGolden(csv.str(), kSweepCsvGolden));
 }
 
-TEST(SerializationGoldenTest, ParaverTraceMatchesLegacy) {
+TEST(SerializationGoldenTest, ParaverTraceMatchesGolden) {
   TraceRecorder recorder(4);
   // A deterministic ownership history with handoffs, idle gaps, and enough
   // ticks to sample the grid several times.
@@ -381,11 +399,132 @@ TEST(SerializationGoldenTest, ParaverTraceMatchesLegacy) {
   }
   recorder.Finalize(40 * 100 * kMillisecond);
 
-  std::ostringstream fast, legacy;
-  WriteParaverTrace(recorder, /*num_jobs=*/3, fast);
-  internal::WriteParaverTraceLegacy(recorder, /*num_jobs=*/3, legacy);
-  ASSERT_FALSE(fast.str().empty());
-  EXPECT_EQ(fast.str(), legacy.str());
+  std::ostringstream prv;
+  WriteParaverTrace(recorder, /*num_jobs=*/3, prv);
+  EXPECT_TRUE(MatchesGolden(prv.str(), "paraver_4cpu.prv"));
+}
+
+// ------------------------------------------- allocation and write counts
+//
+// The properties that make the fast path fast, counted rather than timed so
+// they hold on any host: steady-state emission allocates nothing, and the
+// sink sees one write per 64 KiB buffer instead of one per record.
+
+// Discards everything; counts write calls and bytes.
+class CountingBuf : public std::streambuf {
+ public:
+  long long writes() const { return writes_; }
+  long long bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override {
+    if (!traits_type::eq_int_type(c, traits_type::eof())) {
+      ++writes_;
+      ++bytes_;
+    }
+    return traits_type::not_eof(c);
+  }
+  std::streamsize xsputn(const char* /*s*/, std::streamsize n) override {
+    ++writes_;
+    bytes_ += n;
+    return n;
+  }
+
+ private:
+  long long writes_ = 0;
+  long long bytes_ = 0;
+};
+
+long long WriteBound(long long bytes) {
+  const long long buffer = static_cast<long long>(BufWriter::kBufferSize);
+  return (bytes + buffer - 1) / buffer + 1;
+}
+
+// A deterministic 8-event cycle over the typed emitters, numeric content
+// varying per iteration so the number formatters see a spread of values.
+void EmitMix(EventLog* log, long long events) {
+  log->RunStart("PDPA", "w1", 1.0, 42, 60);
+  static const std::string plan = "1:8 2:8 3:4 4:12";  // built once, outside any window
+  for (long long i = 0; i + 1 < events; ++i) {
+    const SimTime t = 20000 * i;
+    const JobId job = static_cast<JobId>(i % 40);
+    const int procs = static_cast<int>(i % 16) + 1;
+    const double speedup = 1.0 + 0.37 * static_cast<double>(i % 29);
+    const double eff = speedup / static_cast<double>(4 + i % 13);
+    switch (i % 8) {
+      case 0:
+        log->JobSubmit(t, job, "hydro2d", 24, (i % 5) == 0);
+        break;
+      case 1:
+        log->JobStart(t, job, "hydro2d", 24, procs, static_cast<int>(i % 7),
+                      static_cast<int>(i % 3));
+        break;
+      case 2:
+        log->PerfSample(t, job, procs, speedup, eff);
+        break;
+      case 3:
+        log->PdpaTransition(t, job, "NO_REF", "INC", procs - 1, procs + 1, speedup, eff, 0.7,
+                            "report");
+        break;
+      case 4:
+        log->AllocDecision(t, "quantum", plan);
+        break;
+      case 5:
+        log->CpuHandoffs(t, static_cast<int>(i % 9), static_cast<int>(i % 4));
+        break;
+      case 6:
+        log->AdmitHold(t, static_cast<int>(i % 7), static_cast<int>(i % 3),
+                       static_cast<int>(i % 11));
+        break;
+      default:
+        log->JobFinish(t, job, t / 2, (3 * t) / 4);
+        break;
+    }
+  }
+  log->RunEnd(20000 * events, 40, true);
+}
+
+TEST(SinkCostTest, EventLogSteadyStateAllocatesNothing) {
+  CountingBuf buf;
+  std::ostream sink(&buf);
+  EventLog log(&sink);
+  EmitMix(&log, 1000);  // warm-up: interns the vocabulary
+  log.Flush();
+  const long long writes_before = buf.writes();
+  const long long bytes_before = buf.bytes();
+
+  const AllocationWindow window;
+  EmitMix(&log, 400000);
+  log.Flush();
+  const long long allocations = window.Count();
+
+  const long long writes = buf.writes() - writes_before;
+  const long long bytes = buf.bytes() - bytes_before;
+  EXPECT_EQ(allocations, 0);
+  EXPECT_GT(bytes, 0);
+  EXPECT_LE(writes, WriteBound(bytes)) << bytes << " bytes";
+}
+
+TEST(SinkCostTest, TimeSeriesCsvAllocatesPerCallNotPerRow) {
+  ExperimentConfig config;
+  config.workload = WorkloadId::kW1;
+  config.load = 1.0;
+  config.seed = 42;
+  config.policy = PolicyKind::kPdpa;
+  TimeSeriesSampler timeseries;
+  config.timeseries = &timeseries;
+  (void)RunExperiment(config);
+
+  CountingBuf buf;
+  std::ostream sink(&buf);
+  const AllocationWindow window;
+  timeseries.WriteCsv(sink);
+  const long long allocations = window.Count();
+
+  // The 64 KiB coalescing buffer and the reused row buffer.
+  EXPECT_LE(allocations, 2);
+  EXPECT_GT(buf.bytes(), 0);
+  EXPECT_LE(buf.writes(), WriteBound(buf.bytes())) << buf.bytes() << " bytes";
 }
 
 }  // namespace

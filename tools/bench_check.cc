@@ -14,8 +14,8 @@
 //   * booleans / strings: exact match (e.g. output_identical must stay
 //     true).
 //   * everything else (deterministic counts: ticks, cells, events): exact.
-// --min imposes absolute floors (e.g. --min events_speedup=2 keeps the
-// fast path's ">= 2x" acceptance criterion enforced in CI).
+// --min imposes absolute floors (e.g. --min fork_speedup=2 keeps the
+// shared-prefix fork's ">= 2x" acceptance criterion enforced in CI).
 //
 // Usage: bench_check BASELINE FRESH [flags]
 //   --tol name=frac,...   per-metric relative tolerance (overrides class)
@@ -46,7 +46,7 @@ deterministic counts and booleans must match exactly, ratio metrics
 baseline, wall-seconds and rates are informational only.
 
 flags:
-  --tol name=frac,...   per-metric relative tolerance (e.g. events_speedup=0.5)
+  --tol name=frac,...   per-metric relative tolerance (e.g. fork_speedup=0.5)
   --min name=value,...  require fresh[name] >= value
   --ignore name,...     skip these metrics
   --help                this text
@@ -98,12 +98,12 @@ bool EndsWith(const std::string& name, const char* suffix) {
 // Hardware-dependent or run-shape metrics: reported, never compared.
 // skipped_single_cpu is a run-shape fact about the machine (sweep_bench
 // omits its parallel A/B on 1-CPU runners), so it can never
-// "regress"; jobs/shards/threads are the worker counts those benches sized
-// to the runner at hand.
+// "regress"; jobs is the worker count a bench sized to the runner at hand;
+// hardware_concurrency, compiler and build_type record the host.
 bool IsInformational(const std::string& name) {
   return EndsWith(name, "_wall_s") || EndsWith(name, "_per_s") || name == "jobs" ||
-         name == "shards" || name == "threads" || name == "repeat" ||
-         name == "hardware_concurrency" || name == "skipped_single_cpu";
+         name == "repeat" || name == "hardware_concurrency" || name == "compiler" ||
+         name == "build_type" || name == "skipped_single_cpu";
 }
 
 // Ratio of two same-machine measurements (or a deterministic ratio):

@@ -119,8 +119,8 @@ void IndexMutexes(const SourceFile& file, RepoIndex* index) {
 // serialization classes. Construction/reset/flush plumbing is excluded —
 // `event_log.Reset(&sink)` wires a destination, it does not format values.
 void DeriveSinks(const SourceFile& file, RepoIndex* index) {
-  static const std::set<std::string>* kSinkClasses = new std::set<std::string>{
-      "JsonObjectWriter", "LegacyJsonObjectWriter", "EventLog"};
+  static const std::set<std::string>* kSinkClasses =
+      new std::set<std::string>{"JsonObjectWriter", "EventLog"};
   static const std::set<std::string>* kExcluded = new std::set<std::string>{"Reset", "Flush"};
   const std::vector<Token>& tokens = file.scan.tokens;
   if (file.rel_path == "src/common/fmt.h") {
